@@ -29,7 +29,6 @@ from .geometry import (
     SlicePoint,
     radial_limit,
     sphere_grid,
-    surface_integrate,
 )
 from .initial_data import (
     AdsExactModel,
@@ -39,10 +38,8 @@ from .initial_data import (
     OffdiagMomentumModel,
     RadialBumpModel,
     decay_validate,
-    mass_aspect,
     model_from_config,
     model_registry,
-    momentum_aspect,
     read_grid_file,
     write_grid_file,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "SlicePoint",
     "radial_limit",
     "sphere_grid",
-    "surface_integrate",
     "AdsExactModel",
     "DecayReport",
     "GridModel",
@@ -103,10 +99,8 @@ __all__ = [
     "OffdiagMomentumModel",
     "RadialBumpModel",
     "decay_validate",
-    "mass_aspect",
     "model_from_config",
     "model_registry",
-    "momentum_aspect",
     "read_grid_file",
     "write_grid_file",
     "ALL_LABELS",

@@ -3,33 +3,39 @@
 Fifteen quantities are computed: the energy, four boost-type momenta c_i,
 four c'_i from the momentum aspect against the (i,0) fields, and six
 angular momenta J_ij from the rotational fields.  Each one is a weighted
-surface integral evaluated on the radii schedule and extrapolated.
+surface integral evaluated on the radii schedule and extrapolated.  The
+surface data are evaluated once per radius and grid (SurfaceData), on the
+base and the doubled grid, and reduced against Killing tables built once
+per grid; the boundary identity reads the same pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
-    IntegralResult,
     ModelConstants,
     QuadratureSpec,
     RadialLimit,
+    SphereGrid,
     radial_limit,
     sphere_grid,
 )
 from .initial_data import InitialDataModel, mass_aspect_grid, momentum_aspect_grid
-from .killing import killing_vector_frame
+from .killing import killing_frame_table, killing_radial_scale
 
 __all__ = [
     "J_ORDER",
     "ChargeDiagnostics",
     "ChargeSet",
     "DerivedCharges",
+    "SurfaceData",
     "compute_charges",
+    "charges_and_surfaces",
     "derived",
     "charge_surface_values",
 ]
@@ -101,6 +107,7 @@ class ChargeSet:
                     "residual": d.residual,
                     "diverged": d.diverged,
                     "quadrature_converged": d.quadrature_converged,
+                    "beta": d.beta,
                 }
                 for name, d in self.diagnostics.items()
             }
@@ -144,84 +151,133 @@ def derived(cs: ChargeSet) -> DerivedCharges:
                           l_squared=float(l_squared), a_total=float(a_total))
 
 
-def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
-                          npsi: int, nphi: int) -> np.ndarray:
-    """All fifteen pre-limit surface integrals at radius r, in CHARGE_NAMES
-    order, including the kappa/16pi and kappa/8pi prefactors."""
-    k = model.constants
+# The Killing field behind each charge.  The charges in _E_LABELS pair its
+# frame component U^(0) with e_1; those in _P_LABELS pair U^(2..4) with
+# P_{21}, P_{31}, P_{41}.  Together they are CHARGE_NAMES in order.
+_E_LABELS = ((5, 0), (1, 5), (2, 5), (3, 5), (4, 5))
+_P_LABELS = ((1, 0), (2, 0), (3, 0), (4, 0)) + J_ORDER
+_PREFACTOR = np.array([1.0 / (16 * math.pi)] * len(_E_LABELS)
+                      + [1.0 / (8 * math.pi)] * len(_P_LABELS))
+# A column the data do not source holds quadrature roundoff only, about
+# 1e-16 of the largest surface value; one below this fraction is zero.
+_ZERO_REL = 1e-12
+
+
+@dataclass(frozen=True)
+class _ChargeTables:
+    """Per-grid Killing tables: node weights times the angular factors of
+    the frame components, so each radius reduces with one contraction."""
+
+    grid: SphereGrid
+    e: np.ndarray        # (5, N): against e_1
+    p: np.ndarray        # (10, 3N): against P_{21}, P_{31}, P_{41} in turn
+
+
+@functools.lru_cache(maxsize=2)
+def _charge_tables(ntheta: int, npsi: int, nphi: int,
+                   k: ModelConstants) -> _ChargeTables:
     grid = sphere_grid(ntheta, npsi, nphi)
-    theta, psi, phi = grid.theta, grid.psi, grid.phi
-    shape = grid.shape
-    radial = (math.sinh(k.kappa * r) / k.kappa) ** 3
-
-    easpect = mass_aspect_grid(model, r, theta, psi, phi)  # (4,) + shape
-    paspect = momentum_aspect_grid(model, r, theta, psi, phi)  # shape + (4,4)
-    e1 = np.broadcast_to(easpect[0], shape)
-    # P_{j1} for j = 2..4, shape (3,) + shape
-    p_j1 = np.stack(
-        [np.broadcast_to(paspect[..., jj, 0], shape) for jj in (1, 2, 3)]
-    )
-
-    def integral(f):
-        return float(np.sum(f * grid.weights) * radial)
-
-    out = np.empty(15)
-    pre_e = k.kappa / (16 * math.pi)
-    pre_p = k.kappa / (8 * math.pi)
-
-    u50 = killing_vector_frame((5, 0), (r, theta, psi, phi), k)
-    out[0] = pre_e * integral(e1 * np.broadcast_to(u50[0], shape))
-    for i in (1, 2, 3, 4):
-        ui5 = killing_vector_frame((i, 5), (r, theta, psi, phi), k)
-        out[i] = pre_e * integral(e1 * np.broadcast_to(ui5[0], shape))
-    for i in (1, 2, 3, 4):
-        ui0 = killing_vector_frame((i, 0), (r, theta, psi, phi), k)
-        acc = 0.0
-        for n, jj in enumerate((2, 3, 4)):
-            acc += integral(p_j1[n] * np.broadcast_to(ui0[jj], shape))
-        out[4 + i] = pre_p * acc
-    for n, (i, jj) in enumerate(J_ORDER):
-        uij = killing_vector_frame((i, jj), (r, theta, psi, phi), k)
-        acc = 0.0
-        for nn, kk in enumerate((2, 3, 4)):
-            acc += integral(p_j1[nn] * np.broadcast_to(uij[kk], shape))
-        out[9 + n] = pre_p * acc
-    return out
+    angles = (grid.theta, grid.psi, grid.phi)
+    e = np.stack([killing_frame_table(label, *angles, k)[0] * grid.weights
+                  for label in _E_LABELS]).reshape(len(_E_LABELS), -1)
+    p = np.stack([killing_frame_table(label, *angles, k)[1:] * grid.weights
+                  for label in _P_LABELS]).reshape(len(_P_LABELS), -1)
+    e.setflags(write=False)
+    p.setflags(write=False)
+    return _ChargeTables(grid=grid, e=e, p=p)
 
 
-def compute_charges(model: InitialDataModel, q: QuadratureSpec) -> ChargeSet:
-    """Evaluate all charges on the radii schedule and extrapolate."""
+@dataclass(frozen=True)
+class SurfaceData:
+    """The surface data of one model on one sphere S_r and one grid.
+
+    It is evaluated once per (model, radius, grid); the charges and both
+    modes of the boundary identity read it.
+    """
+
+    r: float
+    grid: SphereGrid
+    constants: ModelConstants
+    a: np.ndarray        # metric perturbation, grid shape + (4, 4)
+    e1: np.ndarray       # radial mass aspect, grid shape
+    p1: np.ndarray       # P_{k1} for k = 1..4, shape (4,) + grid shape
+    values: np.ndarray   # the fifteen pre-limit surface integrals
+
+    def integrate(self, values):
+        """Integral over S_r of a field given at the grid nodes."""
+        return self.grid.integrate(values, self.r, self.constants)
+
+
+def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
+                          npsi: int, nphi: int) -> SurfaceData:
+    """Evaluate the surface data of a model at radius r on the given grid.
+
+    Its `values` are all fifteen pre-limit surface integrals, in
+    CHARGE_NAMES order, including the kappa/16pi and kappa/8pi prefactors.
+    """
     k = model.constants
-    base = np.array(
-        [charge_surface_values(model, r, q.ntheta, q.npsi, q.nphi) for r in q.radii]
-    )
+    tables = _charge_tables(ntheta, npsi, nphi, k)
+    grid = tables.grid
+    angles = (grid.theta, grid.psi, grid.phi)
+    shape = grid.shape
+    e1 = np.broadcast_to(mass_aspect_grid(model, r, *angles), shape)
+    paspect = momentum_aspect_grid(model, r, *angles)
+    p1 = np.moveaxis(np.broadcast_to(paspect[..., :, 0], shape + (4,)), -1, 0)
+    grid.require_finite(e1)
+    grid.require_finite(p1)
+    kr = k.kappa * r
+    radial = np.array([killing_radial_scale(label, r, k)
+                       for label in _E_LABELS + _P_LABELS])
+    radial *= _PREFACTOR * k.kappa * (math.sinh(kr) / k.kappa) ** 3
+    values = radial * np.concatenate([tables.e @ e1.ravel(),
+                                      tables.p @ p1[1:].ravel()])
+    a = np.broadcast_to(model.a(r, *angles), shape + (4, 4))
+    return SurfaceData(r=float(r), grid=grid, constants=k, a=a, e1=e1, p1=p1,
+                       values=values)
+
+
+def charges_and_surfaces(model: InitialDataModel, q: QuadratureSpec):
+    """Evaluate the surface data once per radius on the base and the doubled
+    grid, and extrapolate the charges.
+
+    Returns the ChargeSet and the base-grid SurfaceData of each radius.
+    """
+    base = tuple(charge_surface_values(model, r, q.ntheta, q.npsi, q.nphi)
+                 for r in q.radii)
     fine = np.array(
         [
-            charge_surface_values(model, r, 2 * q.ntheta, 2 * q.npsi, 2 * q.nphi)
+            charge_surface_values(model, r, 2 * q.ntheta, 2 * q.npsi,
+                                  2 * q.nphi).values
             for r in q.radii
         ]
     )
-    scale = np.maximum(np.max(np.abs(fine), axis=0), 1e-300)
-    quad_ok = np.max(np.abs(fine - base), axis=0) / scale < q.rel_tol
-    # Treat essentially-zero columns as converged.
-    quad_ok |= np.max(np.abs(fine), axis=0) < 1e-13
+    coarse = np.array([s.values for s in base])
+    col_max = np.max(np.abs(fine), axis=0)
+    negligible = col_max <= _ZERO_REL * np.max(col_max)
+    quad_ok = negligible | (np.max(np.abs(fine - coarse), axis=0)
+                            < q.rel_tol * col_max)
 
-    values = np.empty(15)
+    values = np.zeros(15)
     diags = {}
     for idx, name in enumerate(CHARGE_NAMES):
-        col = fine[:, idx]
-        if np.max(np.abs(col)) < 1e-13:
-            values[idx] = 0.0
+        if negligible[idx]:
             diags[name] = ChargeDiagnostics(
-                residual=float(np.max(np.abs(col))), diverged=False,
+                residual=float(col_max[idx]), diverged=False,
                 quadrature_converged=bool(quad_ok[idx]))
             continue
-        rl: RadialLimit = radial_limit(list(zip(q.radii, col)), k, q.rel_tol)
+        rl: RadialLimit = radial_limit(list(zip(q.radii, fine[:, idx])),
+                                       model.constants, q.rel_tol)
         values[idx] = rl.limit
         diags[name] = ChargeDiagnostics(
             residual=rl.residual, diverged=rl.diverged,
             quadrature_converged=bool(quad_ok[idx]), beta=rl.beta)
-    return ChargeSet(
+    charges = ChargeSet(
         e0=float(values[0]), c=values[1:5], cp=values[5:9], j=values[9:15],
         diagnostics=diags,
     )
+    return charges, base
+
+
+def compute_charges(model: InitialDataModel, q: QuadratureSpec) -> ChargeSet:
+    """Evaluate all charges on the radii schedule and extrapolate."""
+    return charges_and_surfaces(model, q)[0]

@@ -4,15 +4,15 @@ The slice metric is dr^2 + f(r)^2 (dtheta^2 + sin^2 theta (dpsi^2 +
 sin^2 psi dphi^2)) with f(r) = sinh(kappa r)/kappa; the ambient static
 metric adds -cosh^2(kappa r) dt^2.  Surface integrals over the geodesic
 spheres S_r use a Gauss-Legendre product rule in (theta, psi) and a uniform
-periodic rule in phi, with a doubling pass as convergence check.  Radial
-limits are taken by a three-point exponential fit.
+periodic rule in phi.  Radial limits are taken by a three-point
+exponential fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,8 +31,6 @@ __all__ = [
     "spin_connection_grid",
     "SphereGrid",
     "sphere_grid",
-    "IntegralResult",
-    "surface_integrate",
     "RadialLimit",
     "radial_limit",
 ]
@@ -210,6 +208,28 @@ class SphereGrid:
     def shape(self):
         return self.weights.shape
 
+    def require_finite(self, values):
+        """Raise ValueError naming the first node where values is not finite.
+
+        The last three axes of values are the grid axes.
+        """
+        finite = np.isfinite(values)
+        if not finite.all():
+            it, ip, iph = np.argwhere(~finite)[0][-3:]
+            raise ValueError(
+                "non-finite value at node (theta=%g, psi=%g, phi=%g)"
+                % (self.theta[it, 0, 0], self.psi[0, ip, 0], self.phi[0, 0, iph])
+            )
+
+    def integrate(self, values, r: float, k: ModelConstants):
+        """Integral over S_r, against the area form, of a field given at the
+        nodes (any shape that broadcasts to the grid)."""
+        if r <= 0:
+            raise ValueError(f"r must be positive, got {r}")
+        values = np.broadcast_to(values, self.shape)
+        self.require_finite(values)
+        return np.sum(values * self.weights) * (math.sinh(k.kappa * r) / k.kappa) ** 3
+
 
 def sphere_grid(ntheta: int, npsi: int, nphi: int) -> SphereGrid:
     """Build the quadrature grid; nodes avoid the poles by construction."""
@@ -233,60 +253,6 @@ def sphere_grid(ntheta: int, npsi: int, nphi: int) -> SphereGrid:
         phi=phi[None, None, :],
         weights=weights,
     )
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: complex
-    converged: bool
-    rel_change: float
-
-
-def _radial_factor(r: float, k: ModelConstants) -> float:
-    return (math.sinh(k.kappa * r) / k.kappa) ** 3
-
-
-def _integrate_on_grid(f, grid: SphereGrid):
-    vals = np.asarray(f(grid.theta, grid.psi, grid.phi))
-    vals = np.broadcast_to(vals, grid.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(
-            "non-finite integrand at node (theta=%g, psi=%g, phi=%g)"
-            % (
-                grid.theta[bad[0], 0, 0],
-                grid.psi[0, bad[1], 0],
-                grid.phi[0, 0, bad[2]],
-            )
-        )
-    return np.sum(vals * grid.weights)
-
-
-def surface_integrate(
-    f: Callable,
-    r: float,
-    q: QuadratureSpec,
-    k: ModelConstants,
-) -> IntegralResult:
-    """Integrate f(theta, psi, phi) over S_r against the area form.
-
-    f must accept broadcastable angle arrays.  A node-doubling refinement
-    pass is compared against the base grid; failure to agree within
-    q.rel_tol is reported via the converged flag (the refined value is
-    returned either way).
-    """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    radial = _radial_factor(r, k)
-    base = _integrate_on_grid(f, sphere_grid(q.ntheta, q.npsi, q.nphi)) * radial
-    fine = (
-        _integrate_on_grid(f, sphere_grid(2 * q.ntheta, 2 * q.npsi, 2 * q.nphi))
-        * radial
-    )
-    scale = max(abs(fine), abs(base), 1e-300)
-    rel = abs(fine - base) / scale
-    converged = rel < q.rel_tol or abs(fine) < 1e-14 * max(radial, 1.0)
-    return IntegralResult(value=complex(fine), converged=converged, rel_change=rel)
 
 
 @dataclass(frozen=True)

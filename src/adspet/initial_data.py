@@ -29,9 +29,7 @@ __all__ = [
     "model_registry",
     "model_from_config",
     "mass_aspect_grid",
-    "mass_aspect",
     "momentum_aspect_grid",
-    "momentum_aspect",
     "decay_validate",
     "write_grid_file",
     "read_grid_file",
@@ -344,41 +342,27 @@ def _frame_scales(r, theta, psi, k: ModelConstants):
 
 
 def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
-    """Mass aspect values, shape (4,) + field shape.
+    """Radial mass aspect e_1, with the field shape.
 
-    Component i is the frame divergence of a minus the trace gradient minus
-    kappa (a_{1i} - g_{1i} tr a), with g = delta + a.
+    e_1 is the frame divergence of a along e_1, minus the radial derivative
+    of tr a, minus kappa (a_11 - g_11 tr a), with g = delta + a.  The
+    divergence term (nabla_j a)_{1j} = e_j(a_1j) - omega_{k1 j} a_kj -
+    omega_{kj j} a_1k reads only the connection slices omega[:, 0, :] and
+    omega[:, j, j].
     """
     k = model.constants
     a = model.a(r, theta, psi, phi)
     da = model.da_coord(r, theta, psi, phi)
-    shape = a.shape[:-2]
     scales = _frame_scales(r, theta, psi, k)
     omega = spin_connection_grid(r, theta, psi, k)  # (4,4,4) + angular shape
-    # Frame derivative D[c] = (1/s_c) d_c a, shape (4,) + shape + (4,4)
-    D = np.stack(
-        [da[c] / np.broadcast_to(scales[c], shape)[..., None, None] for c in range(4)]
-    )
-    # nabla[c, ..., i, j] = D[c]_ij - omega_{ki c} a_kj - omega_{kj c} a_ik
-    nabla = np.empty_like(D)
-    for c in range(4):
-        term1 = np.einsum("ki...,...kj->...ij", omega[:, :, c], a)
-        term2 = np.einsum("kj...,...ik->...ij", omega[:, :, c], a)
-        nabla[c] = D[c] - term1 - term2
-    div_i = sum(nabla[j][..., :, j] for j in range(4))          # shape + (4,)
-    grad_tr = np.stack(
-        [np.einsum("...ii->...", D[c]) for c in range(4)], axis=-1
-    )
+    div = sum(da[j][..., 0, j] / scales[j] for j in range(4))
+    div = div - np.einsum("kj...,...kj->...", omega[:, 0, :], a)
+    div = div - np.einsum("k...,...k->...", np.einsum("kjj...->k...", omega),
+                          a[..., 0, :])
+    grad_tr = np.einsum("...ii->...", da[0])
     tra = np.einsum("...ii->...", a)
-    g_1i = np.eye(4)[0] + a[..., 0, :]
-    correction = k.kappa * (a[..., 0, :] - g_1i * tra[..., None])
-    return np.moveaxis(div_i - grad_tr - correction, -1, 0)
-
-
-def mass_aspect(model: InitialDataModel, p) -> np.ndarray:
-    """Mass aspect at a single slice point; returns shape (4,)."""
-    vals = mass_aspect_grid(model, p.r, p.theta, p.psi, p.phi)
-    return vals.reshape(4)
+    correction = k.kappa * (a[..., 0, 0] - (1.0 + a[..., 0, 0]) * tra)
+    return div - grad_tr - correction
 
 
 def momentum_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
@@ -388,10 +372,6 @@ def momentum_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndar
     trh = np.einsum("...ii->...", h)
     g = np.eye(4) + a
     return h - g * trh[..., None, None]
-
-
-def momentum_aspect(model: InitialDataModel, p) -> np.ndarray:
-    return momentum_aspect_grid(model, p.r, p.theta, p.psi, p.phi).reshape(4, 4)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ against the closed-form metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "normalize_label",
     "killing_vector_coord",
     "killing_vector_frame",
+    "killing_radial_scale",
+    "killing_frame_table",
     "spacetime_killing_vector",
     "embedding_killing_vector",
     "killing_residual",
@@ -193,6 +195,30 @@ def killing_vector_frame(label, p, k: ModelConstants):
         cps * f * np.sin(theta),
         cph * f * np.sin(theta) * np.sin(psi),
     )
+
+
+def killing_radial_scale(label, r: float, k: ModelConstants) -> float:
+    """Radial scalar R(r) of the frame components U^(0) and U^(2..4).
+
+    Each of those components is R(r) times a function of the angles alone:
+    R = cosh(kappa r) for the time translation and the (i,0) boosts, and
+    R = sinh(kappa r) for the (i,5) boosts and the rotations.  U^(1) of the
+    (i,0) boosts does not depend on r and does not factor this way.
+    """
+    (_, b), _ = normalize_label(label)
+    return math.cosh(k.kappa * r) if b == 0 else math.sinh(k.kappa * r)
+
+
+def killing_frame_table(label, theta, psi, phi, k: ModelConstants) -> np.ndarray:
+    """Angular factors T with U^(m) = R(r) T^(m), for m = 0, 2, 3, 4.
+
+    Returns shape (4,) + broadcast angle shape.  The factorization holds at
+    every radius, so T is read off the frame components at kappa r = 1.
+    """
+    r_ref = 1.0 / k.kappa
+    u = killing_vector_frame(label, (r_ref, theta, psi, phi), k)
+    scale = killing_radial_scale(label, r_ref, k)
+    return np.stack(np.broadcast_arrays(*(u[m] / scale for m in (0, 2, 3, 4))))
 
 
 def ads_metric_diag(x, k: ModelConstants) -> np.ndarray:

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charges import ChargeSet, DerivedCharges, compute_charges, derived, J_ORDER
+from .charges import (
+    ChargeSet,
+    DerivedCharges,
+    SurfaceData,
+    charges_and_surfaces,
+    derived,
+)
 from .clifford import gamma
-from .geometry import ModelConstants, QuadratureSpec, radial_limit, sphere_grid
-from .initial_data import InitialDataModel, mass_aspect_grid, momentum_aspect_grid
-from .killing import killing_vector_frame
+from .geometry import QuadratureSpec, radial_limit
+from .initial_data import InitialDataModel
 from .spinors import KillingParams, killing_spinor_grid, profiles
 
 __all__ = [
@@ -323,29 +328,23 @@ class IdentityReport:
         }
 
 
-def _identity_surface_value(model, lam, r, ntheta, npsi, nphi, mode):
+def _identity_surface_value(s: SurfaceData, lam, mode):
     """One radius of the boundary surface integral, either mode."""
-    k = model.constants
-    grid = sphere_grid(ntheta, npsi, nphi)
+    k = s.constants
+    grid = s.grid
     theta, psi, phi = grid.theta, grid.psi, grid.phi
     shape = grid.shape
-    radial = (math.sinh(k.kappa * r) / k.kappa) ** 3
-
-    easpect = mass_aspect_grid(model, r, theta, psi, phi)
-    paspect = momentum_aspect_grid(model, r, theta, psi, phi)
-    e1 = np.broadcast_to(easpect[0], shape)
+    e1 = s.e1
 
     def integral(f):
-        return complex(np.sum(f * grid.weights) * radial)
+        return complex(s.integrate(f))
 
     if mode == "leading":
         up, _, vp, _ = profiles(lam, theta, psi, phi)
         up = np.broadcast_to(up, shape)
         vp = np.broadcast_to(vp, shape)
-        ekr = math.exp(k.kappa * r)
-        p21 = np.broadcast_to(paspect[..., 1, 0], shape)
-        p31 = np.broadcast_to(paspect[..., 2, 0], shape)
-        p41 = np.broadcast_to(paspect[..., 3, 0], shape)
+        ekr = math.exp(k.kappa * s.r)
+        _, p21, p31, p41 = s.p1
         val = 0.5 * integral(e1 * (np.abs(up) ** 2 + np.abs(vp) ** 2) * ekr)
         val += integral(p21 * (np.abs(up) ** 2 - np.abs(vp) ** 2) * ekr)
         val += -1j * integral(p31 * (np.conj(up) * vp - np.conj(vp) * up) * ekr)
@@ -353,7 +352,7 @@ def _identity_surface_value(model, lam, r, ntheta, npsi, nphi, mode):
         return val
 
     # Exact mode: the three bilinear terms with the full spinor.
-    spinor = killing_spinor_grid(lam, r, theta, psi, phi, k)  # (4,) + shape
+    spinor = killing_spinor_grid(lam, s.r, theta, psi, phi, k)  # (4,) + shape
     spinor = np.broadcast_to(spinor, (4,) + shape)
     norm2 = np.sum(np.abs(spinor) ** 2, axis=0)
 
@@ -362,26 +361,20 @@ def _identity_surface_value(model, lam, r, ntheta, npsi, nphi, mode):
         acted = np.einsum("ab,b...->a...", mat, spinor)
         return np.sum(np.conj(spinor) * acted, axis=0)
 
-    a = model.a(r, theta, psi, phi)
-    h = model.h(r, theta, psi, phi)
+    a = s.a
     tra = np.einsum("...ii->...", a)
-    trh = np.einsum("...ii->...", h)
     g_k1 = np.eye(4)[0] + a[..., :, 0]  # g_{k1} = delta_k1 + a_k1, index k
 
     # Divergence-minus-trace scalar (the connection part of the mass aspect
     # without the kappa correction term).
-    div_minus_tr = e1 + k.kappa * np.broadcast_to(
-        a[..., 0, 0] - g_k1[..., 0] * tra, shape
-    )
+    div_minus_tr = e1 + k.kappa * (a[..., 0, 0] - g_k1[..., 0] * tra)
 
     val = 0.25 * integral(div_minus_tr * norm2)
     for kk in range(4):
         coeff_a = k.kappa * (a[..., kk, 0] - g_k1[..., kk] * tra)
-        coeff_h = h[..., kk, 0] - g_k1[..., kk] * trh
-        val += 0.25 * integral(np.broadcast_to(coeff_a, shape) * (1j * bil(gamma(kk + 1))))
-        val += -0.5 * integral(
-            np.broadcast_to(coeff_h, shape) * bil(gamma(0) @ gamma(kk + 1))
-        )
+        val += 0.25 * integral(coeff_a * (1j * bil(gamma(kk + 1))))
+        # The h coefficient h_k1 - g_k1 tr h is the momentum aspect P_{k1}.
+        val += -0.5 * integral(s.p1[kk] * bil(gamma(0) @ gamma(kk + 1)))
     return val
 
 
@@ -394,16 +387,13 @@ def boundary_identity(
     """Compare the spinor boundary integral with 8 pi lambda^dagger Q lambda."""
     if mode not in ("leading", "exact"):
         raise ValueError(f"mode must be 'leading' or 'exact', got {mode!r}")
-    k = model.constants
-    vals = [
-        _identity_surface_value(model, lam, r, q.ntheta, q.npsi, q.nphi, mode)
-        for r in q.radii
-    ]
-    re_limit = radial_limit(list(zip(q.radii, [v.real for v in vals])), k, q.rel_tol)
+    cs, surfaces = charges_and_surfaces(model, q)
+    vals = [_identity_surface_value(s, lam, mode) for s in surfaces]
+    re_limit = radial_limit(list(zip(q.radii, [v.real for v in vals])),
+                            model.constants, q.rel_tol)
     lhs = re_limit.limit
     lhs_imag = max(abs(v.imag) for v in vals)
 
-    cs = compute_charges(model, q)
     qmat = assemble_q(cs)
     lvec = lam.as_array()
     rhs = float((8 * math.pi) * np.real(np.conj(lvec) @ qmat @ lvec))

@@ -23,6 +23,24 @@ from adspet.initial_data import (
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
 
+# All fifteen charges at Q_STD, frozen from the code that built every
+# Killing frame per radius and all four mass-aspect components.
+FROZEN = {
+    "radial_bump": (
+        RadialBumpModel(m=0.1, constants=K1),
+        {"e0": 0.03681553890929254},
+    ),
+    "offdiag_sin_theta": (
+        OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta", constants=K1),
+        {"cp4": -0.0018407769454627737},
+    ),
+    "offdiag_sin_phi": (
+        OffdiagMomentumModel(q=0.05, axis=2, profile="sin_phi", constants=K1),
+        {"j24": -0.0009638285550122062},
+    ),
+    "ads_exact": (AdsExactModel(K1), {}),
+}
+
 # Independent Gauss-Legendre quadrature of the energy integrand at r = 10
 # with 64 nodes per angle, frozen from a standalone script.  Its residual
 # against the closed form 15 pi m / 128 is 4.13e-9.
@@ -99,8 +117,8 @@ def test_offdiag_angular_momentum_selection():
 
 def test_surface_values_settle_with_radius():
     model = RadialBumpModel(m=0.1, constants=K1)
-    v6 = charge_surface_values(model, 6.0, 16, 16, 16)[0]
-    v8 = charge_surface_values(model, 8.0, 16, 16, 16)[0]
+    v6 = charge_surface_values(model, 6.0, 16, 16, 16).values[0]
+    v8 = charge_surface_values(model, 8.0, 16, 16, 16).values[0]
     closed = 15.0 * math.pi * 0.1 / 128.0
     assert abs(v8 - closed) < abs(v6 - closed)
     assert v8 == pytest.approx(closed, rel=1e-6)
@@ -153,3 +171,48 @@ def test_values_ordering():
                    j=np.array([10, 11, 12, 13, 14, 15.0]))
     assert np.array_equal(cs.values(), np.arange(1.0, 16.0))
     assert len(CHARGE_NAMES) == 15
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN))
+def test_charges_match_frozen_values(kind):
+    model, nonzero = FROZEN[kind]
+    frozen = np.array([nonzero.get(name, 0.0) for name in CHARGE_NAMES])
+    got = compute_charges(model, Q_STD).values()
+    scale = np.max(np.abs(frozen))
+    assert np.max(np.abs(got - frozen)) <= 1e-12 * scale
+    if kind == "ads_exact":
+        assert np.all(got == 0.0)
+
+
+def test_charges_linear_down_to_tiny_amplitudes():
+    # The zero-column cutoff is relative to the data, so a charge stays at
+    # its closed form however small the amplitude.
+    for amp in (1e-15, 1e-13, 1e-11, 1e-8, 1e-4, 1.0):
+        bump = compute_charges(RadialBumpModel(m=amp, constants=K1), Q_STD)
+        assert bump.e0 / amp == pytest.approx(15.0 * math.pi / 128.0, rel=1e-9)
+        assert bump.diagnostics["e0"].quadrature_converged
+        mom = compute_charges(
+            OffdiagMomentumModel(q=amp, axis=2, profile="sin_theta",
+                                 constants=K1), Q_STD
+        )
+        assert mom.cp[3] / amp == pytest.approx(-3.0 * math.pi / 256.0, rel=1e-9)
+        assert list(np.nonzero(mom.values())[0]) == [CHARGE_NAMES.index("cp4")]
+
+
+def test_charge_report_carries_beta():
+    cs = compute_charges(RadialBumpModel(m=0.1, constants=K1), Q_STD)
+    diags = cs.as_dict()["diagnostics"]
+    assert diags["e0"]["beta"] == cs.diagnostics["e0"].beta
+    assert diags["e0"]["beta"] > 0
+    assert diags["c1"]["beta"] is None
+
+
+def test_nonfinite_surface_data_names_the_node():
+    class NanBump(RadialBumpModel):
+        def a(self, r, theta, psi, phi):
+            out = super().a(r, theta, psi, phi).copy()
+            out[0, 0, 0] = np.nan
+            return out
+
+    with pytest.raises(ValueError, match="non-finite value at node"):
+        compute_charges(NanBump(m=0.1, constants=K1), Q_STD)

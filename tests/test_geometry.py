@@ -16,7 +16,6 @@ from adspet.geometry import (
     sphere_measure_density,
     spin_connection,
     spin_connection_grid,
-    surface_integrate,
     time_scale,
 )
 
@@ -141,39 +140,38 @@ def test_sphere_grid_weights_total():
 
 
 def test_surface_integral_s3_volume():
-    q = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0))
+    grid = sphere_grid(16, 16, 16)
     for r in (1.0, 3.0):
-        res = surface_integrate(lambda t, p, f: 1.0, r, q, K1)
-        assert res.converged
-        assert res.value.real == pytest.approx(
+        assert grid.integrate(1.0, r, K1) == pytest.approx(
             2 * math.pi**2 * math.sinh(r) ** 3, rel=1e-13
         )
 
 
 def test_surface_integral_odd_moments_vanish():
-    q = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0))
+    grid = sphere_grid(16, 16, 16)
+    t, p, ph = grid.theta, grid.psi, grid.phi
     for f in (
-        lambda t, p, ph: np.cos(t),
-        lambda t, p, ph: np.sin(t) * np.sin(p) * np.cos(ph),
-        lambda t, p, ph: np.sin(t) * np.cos(p),
+        np.cos(t),
+        np.sin(t) * np.sin(p) * np.cos(ph),
+        np.sin(t) * np.cos(p),
     ):
-        res = surface_integrate(f, 2.0, q, K1)
-        assert abs(res.value) < 1e-10
+        assert abs(grid.integrate(f, 2.0, K1)) < 1e-10
 
 
 def test_surface_integral_quadratic_moment():
     # integral of n_4^2 = cos^2(theta) over the unit 3-sphere is (1/4) vol.
-    q = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0))
-    res = surface_integrate(lambda t, p, f: np.cos(t) ** 2, 1.0, q, K1)
-    assert res.value.real == pytest.approx(
+    grid = sphere_grid(16, 16, 16)
+    assert grid.integrate(np.cos(grid.theta) ** 2, 1.0, K1) == pytest.approx(
         0.25 * 2 * math.pi**2 * math.sinh(1.0) ** 3, rel=1e-12
     )
 
 
 def test_surface_integral_rejects_nonfinite():
-    q = QuadratureSpec(8, 8, 8, (4.0, 5.0, 6.0))
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        surface_integrate(lambda t, p, f: np.log(np.cos(t) - 1.0), 1.0, q, K1)
+    grid = sphere_grid(8, 8, 8)
+    with np.errstate(invalid="ignore"):
+        values = np.log(np.cos(grid.theta) - 1.0)
+    with pytest.raises(ValueError, match="non-finite value at node"):
+        grid.integrate(values, 1.0, K1)
 
 
 def test_radial_limit_recovers_exponential():

@@ -10,20 +10,24 @@ from adspet.initial_data import (
     ANGULAR_PROFILES,
     AdsExactModel,
     GridModel,
+    InitialDataModel,
     OffdiagMomentumModel,
     RadialBumpModel,
     decay_validate,
-    mass_aspect,
     mass_aspect_grid,
     model_from_config,
     model_registry,
-    momentum_aspect,
+    momentum_aspect_grid,
     read_grid_file,
     write_grid_file,
 )
 
 K1 = ModelConstants(1.0)
 P = SlicePoint(2.0, 1.1, 0.9, 2.3)
+
+
+def at(p):
+    return (p.r, p.theta, p.psi, p.phi)
 
 
 def bump_e1(m, sigma, kappa, r):
@@ -39,8 +43,8 @@ def test_ads_exact_fields_vanish():
     model = AdsExactModel(K1)
     assert np.all(model.a(2.0, 1.0, 1.0, 1.0) == 0.0)
     assert np.all(model.h(2.0, 1.0, 1.0, 1.0) == 0.0)
-    assert np.all(mass_aspect(model, P) == 0.0)
-    assert np.all(momentum_aspect(model, P) == 0.0)
+    assert mass_aspect_grid(model, *at(P)) == 0.0
+    assert np.all(momentum_aspect_grid(model, *at(P)) == 0.0)
 
 
 def test_radial_bump_field_values():
@@ -55,17 +59,16 @@ def test_radial_bump_field_values():
 def test_radial_bump_mass_aspect_closed_form():
     for sigma in (4.0, 3.0):
         model = RadialBumpModel(m=0.1, sigma=sigma, constants=K1)
-        e = mass_aspect(model, P)
-        assert e[0] == pytest.approx(bump_e1(0.1, sigma, 1.0, P.r), rel=1e-12)
-        assert np.allclose(e[1:], 0.0, atol=1e-14)
+        e1 = mass_aspect_grid(model, *at(P))
+        assert e1 == pytest.approx(bump_e1(0.1, sigma, 1.0, P.r), rel=1e-12)
 
 
 def test_radial_bump_mass_aspect_other_kappa():
     k2 = ModelConstants(2.0)
     model = RadialBumpModel(m=0.05, sigma=4.0, constants=k2)
     p = SlicePoint(1.5, 1.0, 1.0, 1.0)
-    e = mass_aspect(model, p)
-    assert e[0] == pytest.approx(bump_e1(0.05, 4.0, 2.0, 1.5), rel=1e-12)
+    e1 = mass_aspect_grid(model, *at(p))
+    assert e1 == pytest.approx(bump_e1(0.05, 4.0, 2.0, 1.5), rel=1e-12)
 
 
 def test_finite_difference_derivative_matches_analytic():
@@ -82,7 +85,7 @@ def test_mass_aspect_quadratic_remainder():
     # The aspect has a linear and a quadratic part in the amplitude:
     # E(2m) - 2 E(m) isolates the quadratic term, which scales by 4.
     def e1(m):
-        return mass_aspect(RadialBumpModel(m=m, constants=K1), P)[0]
+        return mass_aspect_grid(RadialBumpModel(m=m, constants=K1), *at(P))
 
     quad_1 = e1(0.2) - 2.0 * e1(0.1)
     quad_2 = e1(0.4) - 2.0 * e1(0.2)
@@ -92,7 +95,7 @@ def test_mass_aspect_quadratic_remainder():
 def test_offdiag_momentum_aspect():
     model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta",
                                  constants=K1)
-    pa = momentum_aspect(model, P)
+    pa = momentum_aspect_grid(model, *at(P))
     expect = 0.05 * math.exp(-4.0 * P.r) * math.sin(P.theta)
     # trace-free field, so the aspect equals h itself
     assert pa[1, 0] == pytest.approx(expect, rel=1e-13)
@@ -110,7 +113,7 @@ def test_momentum_aspect_trace_adjustment():
             return np.broadcast_to(np.eye(4), shape + (4, 4)).copy()
 
     model = DiagH(q=0.0, axis=2, constants=K1)
-    pa = momentum_aspect(model, P)
+    pa = momentum_aspect_grid(model, *at(P))
     # h = Id, tr h = 4, a = 0: P = Id - 4 Id = -3 Id
     assert np.allclose(pa, -3.0 * np.eye(4))
 
@@ -255,4 +258,52 @@ def test_mass_aspect_grid_shape():
     th = np.linspace(0.3, 2.8, 4)[:, None]
     ps = np.linspace(0.3, 2.8, 3)[None, :]
     out = mass_aspect_grid(model, 3.0, th, ps, 0.5)
-    assert out.shape == (4, 4, 3)
+    assert out.shape == (4, 3)
+
+
+class TiltedModel(InitialDataModel):
+    """a = f(r) (S + g(angles) B) with B off-diagonal, so a_12 and a_13
+    feed the cot(theta) and cot(psi) connection terms of e_1."""
+
+    name = "tilted"
+    S = np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 0.5, 0.0, 0.2],
+                  [-0.2, 0.0, -0.4, 0.0], [0.1, 0.2, 0.0, 0.7]])
+    B = np.array([[0.2, 1.0, 0.8, 0.0], [1.0, 0.0, 0.3, 0.0],
+                  [0.8, 0.3, 0.0, -0.5], [0.0, 0.0, -0.5, 0.1]])
+
+    def __init__(self, m):
+        super().__init__(4.0, K1)
+        self.m = m
+
+    def _fields(self, r, t, p, f):
+        r, t, p, f = np.broadcast_arrays(*(np.asarray(x, float) for x in (r, t, p, f)))
+        rad = self.m * np.exp(-4.0 * r)
+        g = np.sin(t) * np.cos(p) + 0.5 * np.cos(f) * np.sin(p)
+        dg = (np.cos(t) * np.cos(p),
+              -np.sin(t) * np.sin(p) + 0.5 * np.cos(f) * np.cos(p),
+              -0.5 * np.sin(f) * np.sin(p))
+        return rad[..., None, None], g[..., None, None], [d[..., None, None] for d in dg]
+
+    def a(self, r, theta, psi, phi):
+        rad, g, _ = self._fields(r, theta, psi, phi)
+        return rad * (self.S + g * self.B)
+
+    def h(self, r, theta, psi, phi):
+        return np.zeros_like(self.a(r, theta, psi, phi))
+
+    def da_coord(self, r, theta, psi, phi):
+        rad, g, dg = self._fields(r, theta, psi, phi)
+        return np.stack([-4.0 * rad * (self.S + g * self.B)]
+                        + [rad * d * self.B for d in dg])
+
+
+def test_mass_aspect_frozen_on_angle_dependent_data():
+    # e_1 frozen from the dense four-component connection contraction.
+    model = TiltedModel(0.3)
+    frozen = {
+        (2.0, 1.1, 0.9, 2.3): 0.0006651606772866113,
+        (1.5, 0.4, 2.6, 0.7): 0.004752255545457063,
+        (3.0, 2.7, 0.3, 5.1): 1.1809406147049255e-05,
+    }
+    for point, e1 in frozen.items():
+        assert mass_aspect_grid(model, *point) == pytest.approx(e1, rel=1e-12)

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from adspet.geometry import DegenerateCoordinateError, ModelConstants
+from adspet.geometry import DegenerateCoordinateError, ModelConstants, sphere_grid
 from adspet.killing import (
     ALL_LABELS,
     ads_metric_diag,
     embedding_killing_vector,
+    killing_frame_table,
+    killing_radial_scale,
     killing_residual,
     killing_vector_coord,
     killing_vector_frame,
@@ -194,3 +196,19 @@ def test_antisymmetry_of_labels():
     u = np.array(killing_vector_coord((3, 0), p, K1))
     v = np.array(killing_vector_coord((0, 3), p, K1))
     assert np.allclose(u, -v)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_frame_table_factors_at_every_radius(kappa):
+    # U^(m) = R(r) T^(m), m = 0, 2, 3, 4, against the direct frame components.
+    k = ModelConstants(kappa)
+    grid = sphere_grid(6, 5, 8)
+    angles = (grid.theta, grid.psi, grid.phi)
+    for label in ALL_LABELS:
+        table = killing_frame_table(label, *angles, k)
+        for r in (0.3, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 10.0):
+            u = killing_vector_frame(label, (r, *angles), k)
+            direct = np.stack(np.broadcast_arrays(*(u[m] for m in (0, 2, 3, 4))))
+            factored = killing_radial_scale(label, r, k) * table
+            assert factored.shape == (4,) + grid.shape
+            assert np.max(np.abs(factored - direct)) <= 1e-12 * np.max(np.abs(direct))

@@ -272,3 +272,21 @@ def test_boundary_identity_mode_validation():
     model = RadialBumpModel(m=0.1, constants=K1)
     with pytest.raises(ValueError):
         boundary_identity(model, KillingParams(1, 0, 0, 0), Q_STD, "bogus")
+
+
+def test_boundary_identity_evaluates_each_surface_once():
+    # One pass gives both the charges and the identity's base-grid data:
+    # one mass-aspect evaluation per radius on each of the two grids.
+    class CountingBump(RadialBumpModel):
+        calls = 0
+
+        def da_coord(self, r, theta, psi, phi):
+            CountingBump.calls += 1
+            return super().da_coord(r, theta, psi, phi)
+
+    model = CountingBump(m=0.1, constants=K1)
+    for mode in ("leading", "exact"):
+        CountingBump.calls = 0
+        rep = boundary_identity(model, KillingParams(1.0, 0.5j, 0.0, -0.3), Q_STD, mode)
+        assert rep.gap < 1e-8
+        assert CountingBump.calls == 2 * len(Q_STD.radii)
