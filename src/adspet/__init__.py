@@ -60,7 +60,6 @@ from .qmatrix import (
     det_closed_form,
     psd_check,
     rigidity_check,
-    sample_psd_charges,
     theorem_bounds,
     third_minor_sum,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "det_closed_form",
     "psd_check",
     "rigidity_check",
-    "sample_psd_charges",
     "theorem_bounds",
     "third_minor_sum",
     "KillingParams",

@@ -72,29 +72,39 @@ class ChargeDiagnostics:
 
 @dataclass(frozen=True)
 class ChargeSet:
-    """E0, c_1..4, c'_1..4 and J_ij with per-charge diagnostics."""
+    """E0, c_1..4, c'_1..4 and J_ij with per-charge diagnostics.
 
-    e0: float
-    c: np.ndarray          # shape (4,)
-    cp: np.ndarray         # shape (4,)
-    j: np.ndarray          # shape (6,), order J_ORDER
+    The fields may carry leading batch axes B: e0 of shape B, c and cp of
+    shape B+(4,), j of shape B+(6,).  A single set (B = ()) has a float e0.
+    """
+
+    e0: float | np.ndarray
+    c: np.ndarray          # shape B+(4,)
+    cp: np.ndarray         # shape B+(4,)
+    j: np.ndarray          # shape B+(6,), order J_ORDER
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(4))
-        object.__setattr__(self, "cp", np.asarray(self.cp, dtype=float).reshape(4))
-        object.__setattr__(self, "j", np.asarray(self.j, dtype=float).reshape(6))
+        e0 = np.asarray(self.e0, dtype=float)
+        for name, n in (("c", 4), ("cp", 4), ("j", 6)):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != e0.shape + (n,):
+                raise ValueError(f"{name} must have shape {e0.shape + (n,)} "
+                                 f"for e0 of shape {e0.shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "e0", float(e0) if e0.ndim == 0 else e0)
 
-    def j_component(self, i: int, jj: int) -> float:
+    def j_component(self, i: int, jj: int):
         """Antisymmetrized J_{i j}, 1-based indices."""
         if i == jj:
             return 0.0
         if (i, jj) in J_ORDER:
-            return float(self.j[J_ORDER.index((i, jj))])
-        return -float(self.j[J_ORDER.index((jj, i))])
+            return self.j[..., J_ORDER.index((i, jj))]
+        return -self.j[..., J_ORDER.index((jj, i))]
 
     def values(self) -> np.ndarray:
-        return np.concatenate([[self.e0], self.c, self.cp, self.j])
+        return np.concatenate([np.asarray(self.e0)[..., None], self.c, self.cp,
+                               self.j], axis=-1)
 
     def as_dict(self) -> dict:
         out = {"e0": self.e0,
@@ -120,35 +130,35 @@ class ChargeSet:
 
 @dataclass(frozen=True)
 class DerivedCharges:
-    jhat: np.ndarray   # (J23, -J13, J12)
-    j4: np.ndarray     # (J14, J24, J34)
-    c3: np.ndarray     # (c1, c2, c3)
-    cp3: np.ndarray    # (c'1, c'2, c'3)
-    l_squared: float
-    a_total: float
+    """Derived charges of a ChargeSet, with its batch axes B."""
+
+    jhat: np.ndarray   # (J23, -J13, J12), shape B+(3,)
+    j4: np.ndarray     # (J14, J24, J34), shape B+(3,)
+    c3: np.ndarray     # (c1, c2, c3), shape B+(3,)
+    cp3: np.ndarray    # (c'1, c'2, c'3), shape B+(3,)
+    l_squared: float | np.ndarray
+    a_total: float | np.ndarray
+
+
+# Positions in J_ORDER of the components of Jhat (with signs) and of J4.
+_JHAT = [J_ORDER.index(p) for p in ((2, 3), (1, 3), (1, 2))]
+_JHAT_SIGN = np.array([1.0, -1.0, 1.0])
+_J4 = [J_ORDER.index(p) for p in ((1, 4), (2, 4), (3, 4))]
 
 
 def derived(cs: ChargeSet) -> DerivedCharges:
     """Derived scalars entering the energy bounds."""
-    jhat = np.array(
-        [cs.j_component(2, 3), -cs.j_component(1, 3), cs.j_component(1, 2)]
-    )
-    j4 = np.array(
-        [cs.j_component(1, 4), cs.j_component(2, 4), cs.j_component(3, 4)]
-    )
-    c3 = cs.c[:3].copy()
-    cp3 = cs.cp[:3].copy()
-    l_squared = 2.0 * (c3 @ c3 + jhat @ jhat + cs.cp[3] ** 2)
-    a_total = (
-        cs.c[3] ** 2
-        + cs.cp[3] ** 2
-        + c3 @ c3
-        + cp3 @ cp3
-        + jhat @ jhat
-        + j4 @ j4
-    )
+    jhat = cs.j[..., _JHAT] * _JHAT_SIGN
+    j4 = cs.j[..., _J4]
+    c3 = cs.c[..., :3]
+    cp3 = cs.cp[..., :3]
+    c3_sq, cp3_sq, jhat_sq, j4_sq = (np.sum(v * v, axis=-1)
+                                     for v in (c3, cp3, jhat, j4))
+    cp4_sq = cs.cp[..., 3] ** 2
+    l_squared = 2.0 * (c3_sq + jhat_sq + cp4_sq)
+    a_total = cs.c[..., 3] ** 2 + cp4_sq + c3_sq + cp3_sq + jhat_sq + j4_sq
     return DerivedCharges(jhat=jhat, j4=j4, c3=c3, cp3=cp3,
-                          l_squared=float(l_squared), a_total=float(a_total))
+                          l_squared=l_squared, a_total=a_total)
 
 
 # The Killing field behind each charge.  The charges in _E_LABELS pair its

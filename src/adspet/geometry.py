@@ -23,11 +23,9 @@ __all__ = [
     "ModelConstants",
     "SlicePoint",
     "QuadratureSpec",
-    "ConnectionCoefficients",
     "frame_scale",
     "time_scale",
     "sphere_measure_density",
-    "spin_connection",
     "spin_connection_grid",
     "SphereGrid",
     "sphere_grid",
@@ -105,23 +103,6 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive")
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Spin connection omega_{ab c} of the slice frame e_1..e_4 at a point.
-
-    omega[a-1, b-1, c-1] holds omega_{ab c}; antisymmetric in (a, b).
-    """
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.omega.setflags(write=False)
-
-    def __getitem__(self, abc):
-        a, b, c = abc
-        return float(self.omega[a - 1, b - 1, c - 1])
-
-
 def _check_off_pole(theta, psi, need_psi: bool):
     sth = np.sin(theta)
     if np.any(np.abs(sth) < _POLE_TOL):
@@ -188,11 +169,6 @@ def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
     omega[3, 2, 3] = inv_f * np.cos(psi) / (np.sin(psi) * np.sin(theta)) * ones
     omega -= np.swapaxes(omega, 0, 1)
     return omega
-
-
-def spin_connection(p: SlicePoint, k: ModelConstants) -> ConnectionCoefficients:
-    """Spin connection of the hyperbolic slice at a single point."""
-    return ConnectionCoefficients(spin_connection_grid(p.r, p.theta, p.psi, k))
 
 
 @dataclass(frozen=True)

@@ -281,29 +281,19 @@ class GridModel(InitialDataModel):
     def da_coord(self, r, theta, psi, phi):
         self._check_angles(theta, psi, phi)
         i = self._radius_index(r)
-        data = self.a_data
-        # Radial derivative by finite differences on the listed radii.
-        if 0 < i < len(self.radii) - 1:
-            dr = self._nonuniform_central(i)
-        elif i == 0:
-            dr = (data[1] - data[0]) / (self.radii[1] - self.radii[0])
-        else:
-            dr = (data[-1] - data[-2]) / (self.radii[-1] - self.radii[-2])
-        slab = data[i]
+        # Radial derivative of the quadratic through the nearest three radii.
+        lo = min(max(i - 1, 0), len(self.radii) - 3)
+        x0, x1, x2 = self.radii[lo:lo + 3]
+        f0, f1, f2 = self.a_data[lo:lo + 3]
+        x = self.radii[i]
+        dr = ((2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2)) * f0
+              + (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2)) * f1
+              + (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1)) * f2)
+        slab = self.a_data[i]
         dth = np.einsum("ij,jabkl->iabkl", self._dth, slab)
         dps = np.einsum("ij,ajbkl->aibkl", self._dps, slab)
         dph = np.einsum("ij,abjkl->abikl", self._dph, slab)
         return np.stack([dr, dth, dps, dph])
-
-    def _nonuniform_central(self, i):
-        r0, r1, r2 = self.radii[i - 1 : i + 2]
-        h1, h2 = r1 - r0, r2 - r1
-        f0, f1, f2 = self.a_data[i - 1 : i + 2]
-        return (
-            -h2 / (h1 * (h1 + h2)) * f0
-            + (h2 - h1) / (h1 * h2) * f1
-            + h1 / (h2 * (h1 + h2)) * f2
-        )
 
     def params(self):
         return {"file": self.path}

@@ -311,10 +311,6 @@ def spacetime_killing_vector(label, x, k: ModelConstants) -> np.ndarray:
     return sign * np.array([float(c) for c in comps])
 
 
-def _vector_at(label, x, k):
-    return spacetime_killing_vector(label, x, k)
-
-
 def killing_residual(label, x, h: float, k: ModelConstants) -> float:
     """Max-norm of the central-difference Lie derivative of the AdS metric.
 
@@ -328,13 +324,13 @@ def killing_residual(label, x, h: float, k: ModelConstants) -> float:
     for mu in range(5):
         step = np.zeros(5)
         step[mu] = h
-        up = _vector_at(label, x + step, k)
-        dn = _vector_at(label, x - step, k)
+        up = spacetime_killing_vector(label, x + step, k)
+        dn = spacetime_killing_vector(label, x - step, k)
         dU[mu] = (up - dn) / (2 * h)
         dg[mu] = (ads_metric_diag(x + step, k) - ads_metric_diag(x - step, k)) / (
             2 * h
         )
-    U = _vector_at(label, x, k)
+    U = spacetime_killing_vector(label, x, k)
     g = ads_metric_diag(x, k)
     lie = np.zeros((5, 5))
     for mu in range(5):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charges import (
+    J_ORDER,
     ChargeSet,
     DerivedCharges,
     SurfaceData,
@@ -37,138 +38,139 @@ __all__ = [
     "det_closed_form",
     "RigidityReport",
     "rigidity_check",
-    "sample_psd_charges",
     "sample_momenta",
     "IdentityReport",
     "boundary_identity",
 ]
 
 
-def assemble_q(cs: ChargeSet) -> np.ndarray:
-    """Assemble the 4x4 Hermitian matrix from a charge set."""
-    e0 = cs.e0
-    c1, c2, c3, c4 = cs.c
-    p1, p2, p3, p4 = cs.cp
-    j12 = cs.j_component(1, 2)
-    j13 = cs.j_component(1, 3)
-    j14 = cs.j_component(1, 4)
-    j23 = cs.j_component(2, 3)
-    j24 = cs.j_component(2, 4)
-    j34 = cs.j_component(3, 4)
+def _scalar(x):
+    """A batch-of-one result as a Python scalar (numpy bools are not JSON
+    serialisable); a batch stays an array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
-    e_block = np.array(
-        [
-            [e0 + c4 + p3 - j34, p1 + 1j * p2 - j14 - 1j * j24],
-            [p1 - 1j * p2 - j14 + 1j * j24, e0 + c4 - p3 + j34],
-        ]
+
+def _dot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def assemble_q(cs: ChargeSet) -> np.ndarray:
+    """Assemble the 4x4 Hermitian matrix from a charge set, shape B+(4,4)."""
+    e0 = np.asarray(cs.e0)
+    c1, c2, c3, c4 = np.moveaxis(cs.c, -1, 0)
+    p1, p2, p3, p4 = np.moveaxis(cs.cp, -1, 0)
+    j12, j13, j14, j23, j24, j34 = (
+        cs.j[..., J_ORDER.index(p)]
+        for p in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     )
-    ehat_block = np.array(
-        [
-            [e0 - c4 - p3 - j34, -p1 - 1j * p2 - j14 - 1j * j24],
-            [-p1 + 1j * p2 - j14 + 1j * j24, e0 - c4 + p3 + j34],
-        ]
-    )
-    l_block = np.array(
-        [
-            [c3 - p4 + 1j * j12, c1 + 1j * c2 + j13 + 1j * j23],
-            [c1 - 1j * c2 - j13 + 1j * j23, -c3 - p4 - 1j * j12],
-        ]
-    )
-    return np.block([[e_block, l_block], [l_block.conj().T, ehat_block]])
+    q = np.empty(e0.shape + (4, 4), dtype=complex)
+    # E block.
+    q[..., 0, 0] = e0 + c4 + p3 - j34
+    q[..., 0, 1] = p1 + 1j * p2 - j14 - 1j * j24
+    q[..., 1, 0] = p1 - 1j * p2 - j14 + 1j * j24
+    q[..., 1, 1] = e0 + c4 - p3 + j34
+    # Ehat block.
+    q[..., 2, 2] = e0 - c4 - p3 - j34
+    q[..., 2, 3] = -p1 - 1j * p2 - j14 - 1j * j24
+    q[..., 3, 2] = -p1 + 1j * p2 - j14 + 1j * j24
+    q[..., 3, 3] = e0 - c4 + p3 + j34
+    # L block and its adjoint.
+    q[..., 0, 2] = c3 - p4 + 1j * j12
+    q[..., 0, 3] = c1 + 1j * c2 + j13 + 1j * j23
+    q[..., 1, 2] = c1 - 1j * c2 - j13 + 1j * j23
+    q[..., 1, 3] = -c3 - p4 - 1j * j12
+    q[..., 2:, :2] = np.conj(np.swapaxes(q[..., :2, 2:], -1, -2))
+    return q
 
 
 @dataclass(frozen=True)
 class PsdReport:
-    psd: bool
-    min_eigenvalue: float
-    eigenvalues: np.ndarray
-    leading_minors: np.ndarray
-    hermitian: bool
+    psd: bool | np.ndarray
+    min_eigenvalue: float | np.ndarray
+    eigenvalues: np.ndarray       # shape B+(4,), ascending
+    leading_minors: np.ndarray    # shape B+(4,)
 
 
 def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
-    """Eigenvalue PSD test cross-checked against leading principal minors."""
+    """Eigenvalue PSD test cross-checked against leading principal minors.
+
+    qmat has shape B+(4,4).  Tolerances are relative to the largest |eigenvalue|
+    s of each matrix: an eigenvalue may reach -rel_tol s and the k x k minor
+    -rel_tol s^k, so Q = 0 is PSD and a tiny Q is judged on its own scale.
+    """
     qmat = np.asarray(qmat, dtype=complex)
-    if qmat.shape != (4, 4):
+    if qmat.shape[-2:] != (4, 4):
         raise ValueError(f"Q must be 4x4, got shape {qmat.shape}")
-    herm = np.allclose(qmat, qmat.conj().T, atol=1e-12 * max(1.0, np.abs(qmat).max()))
-    if not herm:
+    skew = np.abs(qmat - np.conj(np.swapaxes(qmat, -1, -2))).max(axis=(-2, -1))
+    if np.any(skew > 1e-12 * np.abs(qmat).max(axis=(-2, -1))):
         raise ValueError("psd_check requires a Hermitian matrix")
     eig = np.linalg.eigvalsh(qmat)
-    scale = max(np.abs(eig).max(), 1.0)
-    tol = rel_tol * scale
-    minors = np.array(
-        [np.linalg.det(qmat[: n + 1, : n + 1]).real for n in range(4)]
-    )
-    psd_eig = bool(eig.min() >= -tol)
-    psd_minor = bool(np.all(minors >= -tol * scale ** np.arange(1, 5)))
+    scale = np.abs(eig).max(axis=-1)
+    minors = np.stack([np.linalg.det(qmat[..., :k, :k]).real for k in range(1, 5)],
+                      axis=-1)
+    psd_eig = eig[..., 0] >= -rel_tol * scale
+    psd_minor = np.all(minors >= -rel_tol * scale[..., None] ** np.arange(1, 5),
+                       axis=-1)
     return PsdReport(
-        psd=psd_eig and psd_minor,
-        min_eigenvalue=float(eig.min()),
+        psd=_scalar(psd_eig & psd_minor),
+        min_eigenvalue=eig[..., 0],
         eigenvalues=eig,
         leading_minors=minors,
-        hermitian=herm,
     )
 
 
-def _cross_and_pairs(cs: ChargeSet, d: DerivedCharges):
-    c4, p4 = cs.c[3], cs.cp[3]
-    pair = c4 * d.cp3 - p4 * d.c3
+def _closed_form_terms(cs: ChargeSet, d: DerivedCharges):
+    """The cross and triple products of the closed forms, once, reduced to
+    the three combinations through which they enter:
+
+        t  = c'_4 (c.J4) - c_4 (c'.J4) + (c x c').Jhat
+        s  = |c x c'|^2 + |c' x Jhat|^2 + (J4.c)^2 + (J4.c')^2 + (J4.Jhat)^2
+             + |J4|^2 (c_4^2 + c'_4^2)
+             + 2 c_4 (c x Jhat).J4 + 2 c'_4 (c' x Jhat).J4
+        w2 = |c_4 c' - c'_4 c|^2 + |c x Jhat|^2
+
+    with c, c' the first three components.  Returns (t, s, w2).
+    """
+    c4, p4 = cs.c[..., 3], cs.cp[..., 3]
+    cxcp = np.cross(d.c3, d.cp3)
     cxj = np.cross(d.c3, d.jhat)
-    w = math.sqrt(float(pair @ pair + cxj @ cxj))
-    return pair, cxj, w
+    cpxj = np.cross(d.cp3, d.jhat)
+    pair = c4[..., None] * d.cp3 - p4[..., None] * d.c3
+    t = p4 * _dot(d.c3, d.j4) - c4 * _dot(d.cp3, d.j4) + _dot(cxcp, d.jhat)
+    s = (_dot(cxcp, cxcp) + _dot(cpxj, cpxj)
+         + _dot(d.j4, d.c3) ** 2 + _dot(d.j4, d.cp3) ** 2 + _dot(d.j4, d.jhat) ** 2
+         + _dot(d.j4, d.j4) * (c4**2 + p4**2)
+         + 2 * c4 * _dot(cxj, d.j4) + 2 * p4 * _dot(cpxj, d.j4))
+    w2 = _dot(pair, pair) + _dot(cxj, cxj)
+    return t, s, w2
 
 
-def third_minor_sum(cs: ChargeSet) -> float:
+def third_minor_sum(cs: ChargeSet):
     """Closed form of the sum of third-order principal minors (up to the
     positive normalization): E0(E0^2 - A) plus the mixed triple terms."""
     d = derived(cs)
-    e0 = cs.e0
-    c4, p4 = cs.c[3], cs.cp[3]
-    eps_ccp_j = float(np.dot(np.cross(d.c3, d.cp3), d.jhat))
-    return float(
-        e0 * (e0**2 - d.a_total)
-        + 2 * p4 * float(d.c3 @ d.j4)
-        + 2 * eps_ccp_j
-        - 2 * c4 * float(d.cp3 @ d.j4)
-    )
+    t, _, _ = _closed_form_terms(cs, d)
+    return cs.e0 * (cs.e0**2 - d.a_total) + 2 * t
 
 
-def det_closed_form(cs: ChargeSet) -> float:
+def det_closed_form(cs: ChargeSet):
     """Closed form of det Q in terms of the charges."""
     d = derived(cs)
-    e0 = cs.e0
-    c4, p4 = cs.c[3], cs.cp[3]
-    pair, cxj, _ = _cross_and_pairs(cs, d)
-    cxcp = np.cross(d.c3, d.cp3)
-    cpxj = np.cross(d.cp3, d.jhat)
-    eps_c_jhat_j4 = float(np.dot(np.cross(d.c3, d.jhat), d.j4))
-    eps_cp_jhat_j4 = float(np.dot(np.cross(d.cp3, d.jhat), d.j4))
-    return float(
-        (e0**2 - d.a_total) ** 2
-        + 8 * e0 * (p4 * float(d.c3 @ d.j4) - c4 * float(d.cp3 @ d.j4))
-        + 8 * e0 * float(np.dot(cxcp, d.jhat))
-        - 4 * float(cxcp @ cxcp)
-        - 4 * float(cxj @ cxj)
-        - 4 * float(cpxj @ cpxj)
-        - 4 * float(d.j4 @ d.j4) * (c4**2 + p4**2)
-        - 4 * float(pair @ pair)
-        - 4 * (float(d.j4 @ d.cp3) ** 2 + float(d.j4 @ d.jhat) ** 2 + float(d.j4 @ d.c3) ** 2)
-        - 8 * c4 * eps_c_jhat_j4
-        - 8 * p4 * eps_cp_jhat_j4
-    )
+    t, s, w2 = _closed_form_terms(cs, d)
+    return (cs.e0**2 - d.a_total) ** 2 + 8 * cs.e0 * t - 4 * (s + w2)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    bounds: np.ndarray      # B1..B5
-    f: float
-    f_plus: float
-    w: float
+    bounds: np.ndarray      # B1..B5, shape B+(5,)
+    f: float | np.ndarray
+    f_plus: float | np.ndarray
+    w: float | np.ndarray
     variant: str
-    e0: float
-    satisfied: bool
-    margin: float
+    e0: float | np.ndarray
+    satisfied: bool | np.ndarray
+    margin: float | np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -194,60 +196,44 @@ def theorem_bounds(cs: ChargeSet, variant: str = "proof",
     variant "proof" uses the second-minor form with |c'|^2 + |J4|^2, which
     follows directly from positive semidefiniteness; "theorem-text" uses
     |c|^2 + |J4|^2, a stated variant checked empirically but not implied by
-    the minors.
+    the minors.  The bounds hold when E0 - max B >= -tol max(|E0|, max B).
     """
     if variant not in ("proof", "theorem-text"):
         raise ValueError(f"variant must be 'proof' or 'theorem-text', got {variant!r}")
     d = derived(cs)
-    c4, p4 = cs.c[3], cs.cp[3]
-    pair, cxj, w = _cross_and_pairs(cs, d)
+    _, s, w2 = _closed_form_terms(cs, d)
+    w = np.sqrt(w2)
     a_tot = d.a_total
     l2 = d.l_squared
-    norm_cp3 = math.sqrt(float(d.cp3 @ d.cp3))
-    norm_c3 = math.sqrt(float(d.c3 @ d.c3))
-    norm_j4 = math.sqrt(float(d.j4 @ d.j4))
+    cp3_sq = _dot(d.cp3, d.cp3)
+    j4_sq = _dot(d.j4, d.j4)
+    b2_term = cp3_sq if variant == "proof" else _dot(d.c3, d.c3)
 
-    b1 = math.sqrt(c4**2 + l2 / 4.0)
-    if variant == "proof":
-        b2 = math.sqrt(0.5 * (norm_cp3**2 + norm_j4**2) + l2 / 8.0)
-    else:
-        b2 = math.sqrt(0.5 * (norm_c3**2 + norm_j4**2) + l2 / 8.0)
-    b3 = math.sqrt(a_tot + norm_cp3**2 + norm_j4**2) - norm_cp3 - norm_j4
-    b4 = math.sqrt(max(a_tot - 2 * math.sqrt(2) * w, 0.0))
+    b1 = np.sqrt(cs.c[..., 3] ** 2 + l2 / 4.0)
+    b2 = np.sqrt(0.5 * (b2_term + j4_sq) + l2 / 8.0)
+    b3 = np.sqrt(a_tot + cp3_sq + j4_sq) - np.sqrt(cp3_sq) - np.sqrt(j4_sq)
+    b4 = np.sqrt(np.maximum(a_tot - 2 * math.sqrt(2) * w, 0.0))
+    f_val = -8 * math.sqrt(2) * w * a_tot + 36 * w2 + 4 * s
+    f_plus = np.maximum(f_val, 0.0)
+    b5 = np.sqrt(np.maximum(a_tot - 4 * math.sqrt(2) * w + np.sqrt(f_plus), 0.0))
 
-    cxcp = np.cross(d.c3, d.cp3)
-    cpxj = np.cross(d.cp3, d.jhat)
-    eps_c_jhat_j4 = float(np.dot(np.cross(d.c3, d.jhat), d.j4))
-    eps_cp_jhat_j4 = float(np.dot(np.cross(d.cp3, d.jhat), d.j4))
-    f_val = (
-        -8 * math.sqrt(2) * w * a_tot
-        + 36 * float(cxj @ cxj)
-        + 4 * float(cxcp @ cxcp)
-        + 36 * float(pair @ pair)
-        + 4 * (float(d.j4 @ d.cp3) ** 2 + float(d.j4 @ d.jhat) ** 2
-               + float(d.j4 @ d.c3) ** 2)
-        + 4 * float(cpxj @ cpxj)
-        + 4 * float(d.j4 @ d.j4) * (c4**2 + p4**2)
-        + 8 * c4 * eps_c_jhat_j4
-        + 8 * p4 * eps_cp_jhat_j4
-    )
-    f_plus = max(f_val, 0.0)
-    b5 = math.sqrt(max(a_tot - 4 * math.sqrt(2) * w + math.sqrt(f_plus), 0.0))
-
-    bounds = np.array([b1, b2, b3, b4, b5])
-    margin = float(cs.e0 - bounds.max())
+    bounds = np.stack([b1, b2, b3, b4, b5], axis=-1)
+    b_max = bounds.max(axis=-1)
+    margin = cs.e0 - b_max
+    satisfied = margin >= -tol * np.maximum(np.abs(cs.e0), b_max)
     return BoundsReport(
-        bounds=bounds, f=float(f_val), f_plus=float(f_plus), w=float(w),
-        variant=variant, e0=float(cs.e0),
-        satisfied=bool(margin >= -tol), margin=margin,
+        bounds=bounds, f=f_val, f_plus=f_plus, w=w, variant=variant, e0=cs.e0,
+        satisfied=_scalar(satisfied), margin=margin,
     )
 
 
 @dataclass(frozen=True)
 class RigidityReport:
-    in_domain: bool         # E0 below tolerance and Q PSD
-    q_frobenius: float
-    vanishes: bool
+    in_domain: bool | np.ndarray     # E0 below tolerance and Q PSD
+    q_frobenius: float | np.ndarray
+    vanishes: bool | np.ndarray
+    q: np.ndarray                    # the charge matrix the verdict reads
+    psd: PsdReport                   # its PSD check
 
     def as_dict(self):
         return {
@@ -261,11 +247,12 @@ def rigidity_check(cs: ChargeSet, tol: float = 1e-12,
                    q_tol: float = 1e-9) -> RigidityReport:
     """If the energy vanishes and Q is PSD, the whole matrix must vanish."""
     qmat = assemble_q(cs)
-    qnorm = float(np.linalg.norm(qmat))
-    if cs.e0 > tol or not psd_check(qmat).psd:
-        return RigidityReport(in_domain=False, q_frobenius=qnorm, vanishes=False)
+    psd = psd_check(qmat)
+    qnorm = np.linalg.norm(qmat, axis=(-2, -1))
+    in_domain = (cs.e0 <= tol) & psd.psd
     return RigidityReport(
-        in_domain=True, q_frobenius=qnorm, vanishes=bool(qnorm <= q_tol)
+        in_domain=_scalar(in_domain), q_frobenius=qnorm,
+        vanishes=_scalar(in_domain & (qnorm <= q_tol)), q=qmat, psd=psd,
     )
 
 
@@ -280,32 +267,13 @@ def sample_momenta(seed: int, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = np.empty((n, 4))
-    cp = np.empty((n, 4))
-    j = np.empty((n, 6))
-    delta = np.empty(n)
-    for i in range(n):
-        rng = np.random.default_rng([int(seed), i])
-        draw = rng.standard_normal(15)
-        c[i] = draw[0:4]
-        cp[i] = draw[4:8]
-        j[i] = draw[8:14]
-        delta[i] = 0.0 if i % 2 == 0 else abs(draw[14])
-    qs = np.stack(
-        [
-            assemble_q(ChargeSet(e0=0.0, c=c[i], cp=cp[i], j=j[i]))
-            for i in range(n)
-        ]
-    )
-    lam_min = np.linalg.eigvalsh(qs)[:, 0]
-    e0 = -lam_min + delta
+    draw = np.stack([np.random.default_rng([int(seed), i]).standard_normal(15)
+                     for i in range(n)])
+    c, cp, j = draw[:, 0:4], draw[:, 4:8], draw[:, 8:14]
+    delta = np.where(np.arange(n) % 2 == 0, 0.0, np.abs(draw[:, 14]))
+    q0 = assemble_q(ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j))
+    e0 = -np.linalg.eigvalsh(q0)[:, 0] + delta
     return e0, c, cp, j, delta
-
-
-def sample_psd_charges(seed: int, n: int) -> list[ChargeSet]:
-    """PSD-by-construction charge sets; see sample_momenta for the scheme."""
-    e0, c, cp, j, _ = sample_momenta(seed, n)
-    return [ChargeSet(e0=float(e0[i]), c=c[i], cp=cp[i], j=j[i]) for i in range(n)]
 
 
 @dataclass(frozen=True)

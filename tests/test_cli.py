@@ -82,6 +82,20 @@ def test_bound_detects_violation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bound_judges_tiny_charges_on_their_own_scale(tmp_path, capsys):
+    # A momentum of 1e-12 with zero energy violates the bound and is not PSD;
+    # exact AdS (Q = 0) satisfies both.
+    tiny = ('{"name": "offdiag_momentum", '
+            '"params": {"q": 1e-12, "axis": 2, "profile": "sin_theta"}}')
+    out = tmp_path / "bound.json"
+    for model, code, ok in ((tiny, 1, False), ('{"name": "ads_exact"}', 0, True)):
+        assert main(["bound", "--model", model, "--out", str(out),
+                     "--quiet"]) == code
+        data = json.loads(out.read_text())
+        assert data["psd"] is ok and data["verdict"] is ok
+    capsys.readouterr()
+
+
 def test_identity_command(tmp_path, capsys):
     out = tmp_path / "identity.json"
     code = main(["identity", "--model", BUMP, "--lambda", "1,0,0,0,0,0,0,0",
@@ -101,6 +115,27 @@ def test_sample_psd_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     data = json.loads(a.read_text())
     assert data["failures"] == 0
+    capsys.readouterr()
+
+
+# The report of `sample-psd --n 1000 --seed 7` from the per-sample loop
+# that the batched path replaced.
+FROZEN_SAMPLE_PSD = {
+    "failures": 0,
+    "worst_margin": 0.6175608336401517,
+    "min_a_minus_2sqrt2_w": -3.5954097710848494,
+    "boundary_zero_energy_max_qnorm": 0.0,
+}
+
+
+def test_sample_psd_matches_frozen_report(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["sample-psd", "--n", "1000", "--seed", "7", "--out",
+                 str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert data["failures"] == FROZEN_SAMPLE_PSD["failures"]
+    for key, val in FROZEN_SAMPLE_PSD.items():
+        assert abs(data[key] - val) <= 1e-12 * abs(val), key
     capsys.readouterr()
 
 

@@ -14,7 +14,6 @@ from adspet.geometry import (
     radial_limit,
     sphere_grid,
     sphere_measure_density,
-    spin_connection,
     spin_connection_grid,
     time_scale,
 )
@@ -78,24 +77,25 @@ def test_measure_density_and_pole_errors():
     with pytest.raises(DegenerateCoordinateError):
         frame_scale(3, pole, K1)
     with pytest.raises(DegenerateCoordinateError):
-        spin_connection(pole, K1)
+        spin_connection_grid(pole.r, pole.theta, pole.psi, K1)
 
 
 def test_spin_connection_values():
     # Radial coefficients are kappa*coth(kappa r) for each angular leg.
+    # om[a, b, c] holds omega_{ab c} with 0-based frame indices.
     p = SlicePoint(1.5, 1.0, 1.2, 0.3)
-    om = spin_connection(p, K1)
+    om = spin_connection_grid(p.r, p.theta, p.psi, K1)
     coth = 1.0 / math.tanh(1.5)
-    for a in (2, 3, 4):
-        assert om[a, 1, a] == pytest.approx(coth)
-        assert om[1, a, a] == pytest.approx(-coth)
+    for a in (1, 2, 3):
+        assert om[a, 0, a] == pytest.approx(coth)
+        assert om[0, a, a] == pytest.approx(-coth)
     inv_f = 1.0 / math.sinh(1.5)
-    assert om[3, 2, 3] == pytest.approx(inv_f / math.tan(1.0))
-    assert om[4, 2, 4] == pytest.approx(inv_f / math.tan(1.0))
-    assert om[4, 3, 4] == pytest.approx(inv_f / (math.tan(1.2) * math.sin(1.0)))
+    assert om[2, 1, 2] == pytest.approx(inv_f / math.tan(1.0))
+    assert om[3, 1, 3] == pytest.approx(inv_f / math.tan(1.0))
+    assert om[3, 2, 3] == pytest.approx(inv_f / (math.tan(1.2) * math.sin(1.0)))
     # anything not in the closed-form list vanishes
-    assert om[2, 3, 1] == 0.0
-    assert om[1, 2, 1] == 0.0
+    assert om[1, 2, 0] == 0.0
+    assert om[0, 1, 0] == 0.0
 
 
 def test_spin_connection_antisymmetry():
@@ -113,8 +113,7 @@ def test_spin_connection_metric_compatibility():
     # derivative of frame scales: omega_{a1 a} = e_a(log s_a) evaluated along
     # the radial leg, and omega_{a2 a} = (1/f) d_theta log s_a, a = 3, 4.
     r, th, ps = 1.7, 0.9, 1.1
-    p = SlicePoint(r, th, ps, 0.2)
-    om = spin_connection(p, K1)
+    om = spin_connection_grid(r, th, ps, K1)
     f = math.sinh(r)
     h = 1e-6
 
@@ -122,15 +121,15 @@ def test_spin_connection_metric_compatibility():
         return math.sinh(rr) * math.sin(tt)
 
     d_r = (s3(r + h, th) - s3(r - h, th)) / (2 * h) / s3(r, th)
-    assert om[3, 1, 3] == pytest.approx(d_r, rel=1e-8)
+    assert om[2, 0, 2] == pytest.approx(d_r, rel=1e-8)
     d_th = (s3(r, th + h) - s3(r, th - h)) / (2 * h) / s3(r, th) / f
-    assert om[3, 2, 3] == pytest.approx(d_th, rel=1e-8)
+    assert om[2, 1, 2] == pytest.approx(d_th, rel=1e-8)
 
     def s4(rr, tt, pp):
         return math.sinh(rr) * math.sin(tt) * math.sin(pp)
 
     d_ps = (s4(r, th, ps + h) - s4(r, th, ps - h)) / (2 * h) / s4(r, th, ps)
-    assert om[4, 3, 4] == pytest.approx(d_ps / (f * math.sin(th)), rel=1e-8)
+    assert om[3, 2, 3] == pytest.approx(d_ps / (f * math.sin(th)), rel=1e-8)
 
 
 def test_sphere_grid_weights_total():

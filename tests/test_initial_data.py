@@ -253,6 +253,21 @@ def test_grid_model_angular_derivatives(tmp_path):
     assert np.allclose(got, expect, atol=1e-12)
 
 
+def test_grid_model_radial_derivative_exact_for_quadratics():
+    # The three-point stencil differentiates a quadratic in r exactly at
+    # every listed radius, the two end radii included, on uneven spacing.
+    radii = np.array([4.0, 4.3, 5.1, 5.5, 6.7])
+    pattern = np.arange(1.0, 17.0).reshape(4, 4)
+    base = np.broadcast_to(pattern, (4, 4, 4, 4, 4))
+    a_data = np.stack([(0.7 - 0.2 * r + 0.05 * r**2) * base for r in radii])
+    model = GridModel(radii, 4, 4, 4, a_data, np.zeros_like(a_data), 3.0, K1)
+    g = model.grid
+    for r in radii:
+        got = model.da_coord(r, g.theta, g.psi, g.phi)[0]
+        expect = (-0.2 + 0.1 * r) * base
+        assert np.allclose(got, expect, rtol=1e-12, atol=0.0), r
+
+
 def test_mass_aspect_grid_shape():
     model = RadialBumpModel(m=0.1, constants=K1)
     th = np.linspace(0.3, 2.8, 4)[:, None]

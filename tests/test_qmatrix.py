@@ -16,7 +16,6 @@ from adspet.qmatrix import (
     psd_check,
     rigidity_check,
     sample_momenta,
-    sample_psd_charges,
     theorem_bounds,
     third_minor_sum,
 )
@@ -39,6 +38,16 @@ def charge_set(e0=0.0, **kw):
         elif key.startswith("j"):
             j[order[key[1:]]] = val
     return ChargeSet(e0=e0, c=c, cp=cp, j=j)
+
+
+def psd_samples(seed, n):
+    """PSD-by-construction charge sets from the sampler, as one batch."""
+    e0, c, cp, j, _ = sample_momenta(seed, n)
+    return ChargeSet(e0=e0, c=c, cp=cp, j=j)
+
+
+def sq(v):
+    return np.sum(v * v, axis=-1)
 
 
 def random_charge_set(rng, scale=1.0):
@@ -160,22 +169,20 @@ def test_second_minor_inequalities_raw_forms():
     # B1 and proof-B2 restated directly from the 2x2 principal minors:
     # E0^2 >= c4^2 + (|c|^2 + |Jhat|^2 + c'_4^2)/2  and
     # E0^2 >= (|c'|^2 + |J4|^2)/2 + (|c|^2 + |Jhat|^2 + c'_4^2)/4.
-    rng = np.random.default_rng(4)
-    for cs in sample_psd_charges(4, 50):
-        d = derived(cs)
-        raw1 = math.sqrt(
-            cs.c[3] ** 2 + 0.5 * (d.c3 @ d.c3 + d.jhat @ d.jhat + cs.cp[3] ** 2)
-        )
-        raw2 = math.sqrt(
-            0.5 * (d.cp3 @ d.cp3 + d.j4 @ d.j4)
-            + 0.25 * (d.c3 @ d.c3 + d.jhat @ d.jhat + cs.cp[3] ** 2)
-        )
-        rep = theorem_bounds(cs)
-        assert rep.bounds[0] == pytest.approx(raw1, rel=1e-12)
-        assert rep.bounds[1] == pytest.approx(raw2, rel=1e-12)
-        assert cs.e0 >= raw1 - 1e-9
-        assert cs.e0 >= raw2 - 1e-9
-    del rng
+    cs = psd_samples(4, 50)
+    d = derived(cs)
+    raw1 = np.sqrt(
+        cs.c[:, 3] ** 2 + 0.5 * (sq(d.c3) + sq(d.jhat) + cs.cp[:, 3] ** 2)
+    )
+    raw2 = np.sqrt(
+        0.5 * (sq(d.cp3) + sq(d.j4))
+        + 0.25 * (sq(d.c3) + sq(d.jhat) + cs.cp[:, 3] ** 2)
+    )
+    rep = theorem_bounds(cs)
+    assert rep.bounds[:, 0] == pytest.approx(raw1, rel=1e-12)
+    assert rep.bounds[:, 1] == pytest.approx(raw2, rel=1e-12)
+    assert np.all(cs.e0 >= raw1 - 1e-9)
+    assert np.all(cs.e0 >= raw2 - 1e-9)
 
 
 def test_third_minor_sum_matches_eigenvalues():
@@ -201,16 +208,16 @@ def test_det_closed_form_matches_eigensolver():
 
 
 def test_bounds_hold_on_psd_samples():
+    cs = psd_samples(0, 400)
     for variant in ("proof", "theorem-text"):
-        for cs in sample_psd_charges(0, 400):
-            rep = theorem_bounds(cs, variant)
-            assert rep.satisfied, (variant, cs.e0, rep.margin)
+        rep = theorem_bounds(cs, variant)
+        assert np.all(rep.satisfied), (variant, rep.margin.min())
 
 
 def test_third_minor_nonnegative_on_psd_samples():
-    for cs in sample_psd_charges(1, 300):
-        assert third_minor_sum(cs) >= -1e-10
-        assert det_closed_form(cs) >= -1e-8
+    cs = psd_samples(1, 300)
+    assert np.all(third_minor_sum(cs) >= -1e-10)
+    assert np.all(det_closed_form(cs) >= -1e-8)
 
 
 def test_sampler_determinism_and_prefix():
@@ -244,6 +251,106 @@ def test_rigidity_trivial_and_boundary():
     # strictly positive energy: the hypothesis never fires
     rep2 = rigidity_check(charge_set(e0=1.0))
     assert not rep2.in_domain
+
+
+def test_verdicts_scale_with_the_charges():
+    # A tiny momentum with zero energy is not PSD on its own scale, and
+    # Q = 0 (exact AdS) is PSD, satisfies the bounds and is rigid.
+    tiny = charge_set(e0=0.0, c4=1e-12)
+    assert not psd_check(assemble_q(tiny)).psd
+    assert not theorem_bounds(tiny).satisfied
+    assert not rigidity_check(tiny).in_domain
+    zero = charge_set()
+    assert psd_check(assemble_q(zero)).psd
+    assert theorem_bounds(zero).satisfied
+    rep = rigidity_check(zero)
+    assert rep.in_domain and rep.vanishes and rep.q_frobenius == 0.0
+    # Every verdict is invariant under scaling all charges together: PSD
+    # samples, and the same samples with min eig Q = -1e-3.
+    e0, c, cp, j, delta = sample_momenta(9, 40)
+    for e, psd in ((e0, True), (e0 - delta - 1e-3, False)):
+        base = ChargeSet(e0=e, c=c, cp=cp, j=j)
+        assert np.all(psd_check(assemble_q(base)).psd == psd)
+        satisfied = theorem_bounds(base).satisfied
+        for scale in (1e-15, 1e-9, 1e-3, 1e3):
+            scaled = ChargeSet(e0=scale * e, c=scale * c, cp=scale * cp,
+                               j=scale * j)
+            assert np.all(psd_check(assemble_q(scaled)).psd == psd), scale
+            assert np.array_equal(theorem_bounds(scaled).satisfied,
+                                  satisfied), scale
+
+
+def _mixed_batch(n=200):
+    """Sampler draws with every verdict represented: PSD (boundary and
+    interior), negative energy, and the zero set."""
+    e0, c, cp, j, _ = sample_momenta(17, n)
+    kind = np.arange(n) % 5
+    e0 = np.where(kind == 3, -e0, e0)
+    zero = (kind == 4)[:, None]
+    return ChargeSet(e0=np.where(kind == 4, 0.0, e0), c=np.where(zero, 0.0, c),
+                     cp=np.where(zero, 0.0, cp), j=np.where(zero, 0.0, j))
+
+
+def _assert_same(batched, single, what):
+    batched = np.asarray(batched)
+    single = np.asarray(single)
+    if single.dtype == bool:
+        assert np.array_equal(batched, single), what
+        return
+    scale = np.abs(single).max()
+    assert np.all(np.abs(batched - single) <= 1e-12 * scale), what
+
+
+def test_batched_arithmetic_matches_each_set_alone():
+    cs = _mixed_batch()
+    d = derived(cs)
+    q = assemble_q(cs)
+    psd = psd_check(q)
+    bounds = {v: theorem_bounds(cs, v) for v in ("proof", "theorem-text")}
+    third = third_minor_sum(cs)
+    det = det_closed_form(cs)
+    rigid = rigidity_check(cs)
+    assert q.shape == (200, 4, 4)
+    assert not np.all(psd.psd) and np.any(psd.psd)
+    assert np.any(rigid.vanishes)
+    for i in range(200):
+        one = ChargeSet(e0=float(cs.e0[i]), c=cs.c[i], cp=cs.cp[i], j=cs.j[i])
+        d1 = derived(one)
+        for name in ("jhat", "j4", "c3", "cp3", "l_squared", "a_total"):
+            _assert_same(getattr(d, name)[i], getattr(d1, name), (i, name))
+        q1 = assemble_q(one)
+        _assert_same(q[i], q1, (i, "q"))
+        p1 = psd_check(q1)
+        assert isinstance(p1.psd, bool)
+        for name in ("psd", "min_eigenvalue", "eigenvalues", "leading_minors"):
+            _assert_same(getattr(psd, name)[i], getattr(p1, name), (i, name))
+        for variant, rep in bounds.items():
+            b1 = theorem_bounds(one, variant)
+            assert isinstance(b1.satisfied, bool) and b1.variant == variant
+            for name in ("bounds", "f", "f_plus", "w", "e0", "satisfied",
+                         "margin"):
+                _assert_same(getattr(rep, name)[i], getattr(b1, name),
+                             (i, variant, name))
+        _assert_same(third[i], third_minor_sum(one), (i, "third"))
+        _assert_same(det[i], det_closed_form(one), (i, "det"))
+        r1 = rigidity_check(one)
+        assert isinstance(r1.in_domain, bool) and isinstance(r1.vanishes, bool)
+        for name in ("in_domain", "q_frobenius", "vanishes"):
+            _assert_same(getattr(rigid, name)[i], getattr(r1, name), (i, name))
+
+
+def test_charge_set_batch_shapes_must_agree():
+    with pytest.raises(ValueError):
+        ChargeSet(e0=np.zeros(3), c=np.zeros((2, 4)), cp=np.zeros((3, 4)),
+                  j=np.zeros((3, 6)))
+    with pytest.raises(ValueError):
+        ChargeSet(e0=0.0, c=np.zeros(5), cp=np.zeros(4), j=np.zeros(6))
+    batch = ChargeSet(e0=np.zeros(3), c=np.zeros((3, 4)), cp=np.zeros((3, 4)),
+                      j=np.zeros((3, 6)))
+    assert batch.e0.shape == (3,) and batch.values().shape == (3, 15)
+    one = charge_set(e0=1.0)
+    assert isinstance(one.e0, float) and one.c.shape == (4,)
+    assert one.values().shape == (15,)
 
 
 def test_boundary_identity_leading_mode():
