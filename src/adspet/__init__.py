@@ -20,10 +20,9 @@ from .charges import (
     compute_charges,
     derived,
 )
-from .clifford import ETA, bilinear, dec_check, gamma, weitzenboeck_endomorphism
+from .clifford import ETA, gamma
 from .geometry import (
     DegenerateCoordinateError,
-    DivergentLimitError,
     ModelConstants,
     QuadratureSpec,
     SlicePoint,
@@ -80,12 +79,8 @@ __all__ = [
     "compute_charges",
     "derived",
     "ETA",
-    "bilinear",
-    "dec_check",
     "gamma",
-    "weitzenboeck_endomorphism",
     "DegenerateCoordinateError",
-    "DivergentLimitError",
     "ModelConstants",
     "QuadratureSpec",
     "SlicePoint",

@@ -94,14 +94,6 @@ class ChargeSet:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "e0", float(e0) if e0.ndim == 0 else e0)
 
-    def j_component(self, i: int, jj: int):
-        """Antisymmetrized J_{i j}, 1-based indices."""
-        if i == jj:
-            return 0.0
-        if (i, jj) in J_ORDER:
-            return self.j[..., J_ORDER.index((i, jj))]
-        return -self.j[..., J_ORDER.index((jj, i))]
-
     def values(self) -> np.ndarray:
         return np.concatenate([np.asarray(self.e0)[..., None], self.c, self.cp,
                                self.j], axis=-1)

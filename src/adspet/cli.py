@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -67,14 +68,14 @@ def _resolved_config(args, extra=None):
 
 
 def _emit(report, args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 
 def _say(args, *parts):
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(*parts)
 
 
@@ -83,61 +84,52 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Energy-momenta and positivity bounds for "
                                  "(4+1)-dimensional asymptotically AdS data")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags every subcommand takes.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", type=str, default=None)
+    common.add_argument("--quiet", action="store_true")
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = add("verify", help="run a verification suite")
     pv.add_argument("what", choices=["clifford", "spinors", "killing"])
     pv.add_argument("--samples", type=int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--label", type=str, default=None,
                     help="restrict killing verification to one label a,b")
     pv.add_argument("--kappa", type=float, default=1.0)
-    pv.add_argument("--out", type=str, default=None)
-    pv.add_argument("--quiet", action="store_true")
 
-    pc = sub.add_parser("charges", help="compute the fifteen charges")
+    pc = add("charges", help="compute the fifteen charges")
     pc.add_argument("--model", type=str, required=True)
     _add_quadrature_flags(pc)
-    pc.add_argument("--out", type=str, default=None)
-    pc.add_argument("--quiet", action="store_true")
 
-    pq = sub.add_parser("qmatrix", help="assemble Q and evaluate bounds")
+    pq = add("qmatrix", help="assemble Q and evaluate bounds")
     pq.add_argument("--charges", type=str, required=True,
                     help="charges JSON file produced by the charges command")
     pq.add_argument("--variant", choices=["proof", "theorem-text"],
                     default="proof")
-    pq.add_argument("--out", type=str, default=None)
-    pq.add_argument("--quiet", action="store_true")
 
-    pb = sub.add_parser("bound", help="charges plus bounds in one pass")
+    pb = add("bound", help="charges plus bounds in one pass")
     pb.add_argument("--model", type=str, required=True)
     pb.add_argument("--variant", choices=["proof", "theorem-text"],
                     default="proof")
     _add_quadrature_flags(pb)
-    pb.add_argument("--out", type=str, default=None)
-    pb.add_argument("--quiet", action="store_true")
 
-    pi = sub.add_parser("identity", help="boundary identity check")
+    pi = add("identity", help="boundary identity check")
     pi.add_argument("--model", type=str, required=True)
     pi.add_argument("--lambda", dest="lam", type=str, required=True,
                     help="four complex parameters re,im,re,im,re,im,re,im")
     pi.add_argument("--mode", choices=["leading", "exact"], default="leading")
     _add_quadrature_flags(pi)
-    pi.add_argument("--out", type=str, default=None)
-    pi.add_argument("--quiet", action="store_true")
 
-    ps = sub.add_parser("sample-psd", help="property sweep over PSD samples")
+    ps = add("sample-psd", help="property sweep over PSD samples")
     ps.add_argument("--n", type=int, default=1000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--variant", choices=["proof", "theorem-text"],
                     default="proof")
-    ps.add_argument("--out", type=str, default=None)
-    ps.add_argument("--quiet", action="store_true")
 
-    pd = sub.add_parser("decay", help="validate decay of a model")
+    pd = add("decay", help="validate decay of a model")
     pd.add_argument("--model", type=str, required=True)
     _add_quadrature_flags(pd)
-    pd.add_argument("--out", type=str, default=None)
-    pd.add_argument("--quiet", action="store_true")
 
     return parser
 

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ETA",
-    "gamma",
-    "bilinear",
-    "weitzenboeck_endomorphism",
-    "dec_check",
-    "validate_stress_energy",
-]
+__all__ = ["ETA", "gamma"]
 
 # Signature of the frame metric: eta = diag(-1, 1, 1, 1, 1), index 0 timelike.
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
@@ -54,39 +47,3 @@ def gamma(alpha: int) -> np.ndarray:
     if not isinstance(alpha, (int, np.integer)) or not 0 <= alpha <= 4:
         raise IndexError(f"frame index must be in 0..4, got {alpha!r}")
     return _GAMMA[alpha]
-
-
-def bilinear(phi, mat, psi) -> complex:
-    """Hermitian spinor bilinear <phi, mat psi> = sum conj(phi_a) (mat psi)_a."""
-    phi = np.asarray(phi, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    return complex(np.vdot(phi, np.asarray(mat, dtype=complex) @ psi))
-
-
-def validate_stress_energy(T) -> np.ndarray:
-    """Check that T is a real symmetric 5x5 array of frame components."""
-    T = np.asarray(T, dtype=float)
-    if T.shape != (5, 5):
-        raise ValueError(f"stress-energy tensor must be 5x5, got shape {T.shape}")
-    if not np.array_equal(T, T.T):
-        raise ValueError("stress-energy tensor must be symmetric")
-    return T
-
-
-def weitzenboeck_endomorphism(T, phi) -> np.ndarray:
-    """Curvature endomorphism (1/2)(T00 g0 + sum_i T0i gi) g0 acting on phi."""
-    T = validate_stress_energy(T)
-    phi = np.asarray(phi, dtype=complex)
-    mat = T[0, 0] * _GAMMA[0].astype(complex)
-    for i in range(1, 5):
-        mat = mat + T[0, i] * _GAMMA[i]
-    return 0.5 * (mat @ _GAMMA[0]) @ phi
-
-
-def dec_check(T) -> bool:
-    """Dominant energy condition: T00 >= |T_0.| euclidean and entrywise max."""
-    T = validate_stress_energy(T)
-    t00 = T[0, 0]
-    if t00 < np.sqrt(np.sum(T[0, 1:] ** 2)):
-        return False
-    return bool(t00 >= np.max(np.abs(T)))

@@ -19,13 +19,10 @@ from scipy.optimize import brentq
 
 __all__ = [
     "DegenerateCoordinateError",
-    "DivergentLimitError",
     "ModelConstants",
     "SlicePoint",
     "QuadratureSpec",
-    "frame_scale",
-    "time_scale",
-    "sphere_measure_density",
+    "frame_scales",
     "spin_connection_grid",
     "SphereGrid",
     "sphere_grid",
@@ -40,10 +37,6 @@ class DegenerateCoordinateError(ValueError):
     """Raised when a frame quantity is evaluated at a coordinate pole."""
 
 
-class DivergentLimitError(RuntimeError):
-    """Raised (or flagged) when a radial sequence grows instead of settling."""
-
-
 @dataclass(frozen=True)
 class ModelConstants:
     """Curvature scale kappa > 0; the cosmological constant is -6 kappa^2."""
@@ -53,10 +46,6 @@ class ModelConstants:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-    @property
-    def cosmological_constant(self) -> float:
-        return -6.0 * self.kappa**2
 
 
 @dataclass(frozen=True)
@@ -103,43 +92,17 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive")
 
 
-def _check_off_pole(theta, psi, need_psi: bool):
-    sth = np.sin(theta)
-    if np.any(np.abs(sth) < _POLE_TOL):
-        raise DegenerateCoordinateError("evaluation at a theta pole")
-    if need_psi and np.any(np.abs(np.sin(psi)) < _POLE_TOL):
-        raise DegenerateCoordinateError("evaluation at a psi pole")
+def frame_scales(r, theta, psi, k: ModelConstants) -> np.ndarray:
+    """Coordinate-to-frame factors s_a, so that d/dx_a = s_a * frame_a.
 
-
-def frame_scale(axis: int, p: SlicePoint, k: ModelConstants) -> float:
-    """Coordinate-to-frame factor s_a, so that d/dx_a = s_a * frame_a.
-
-    axis 1 -> r, 2 -> theta, 3 -> psi, 4 -> phi.
+    Returns shape (4,) + broadcast(r, theta, psi).shape, for the axes r,
+    theta, psi, phi: (1, f, f sin theta, f sin theta sin psi) with
+    f = sinh(kappa r)/kappa.  At a coordinate pole the angular factors are 0.
     """
-    if axis not in (1, 2, 3, 4):
-        raise IndexError(f"axis must be in 1..4, got {axis}")
-    if axis == 1:
-        return 1.0
-    f = math.sinh(k.kappa * p.r) / k.kappa
-    if axis == 2:
-        return f
-    _check_off_pole(p.theta, p.psi, need_psi=(axis == 4))
-    if axis == 3:
-        return f * math.sin(p.theta)
-    return f * math.sin(p.theta) * math.sin(p.psi)
-
-
-def time_scale(p: SlicePoint, k: ModelConstants) -> float:
-    """Lapse factor: d/dt = cosh(kappa r) * frame_0."""
-    return math.cosh(k.kappa * p.r)
-
-
-def sphere_measure_density(p: SlicePoint, k: ModelConstants) -> float:
-    """Density of the area form e^2 ^ e^3 ^ e^4 against dtheta dpsi dphi."""
-    if p.r <= 0:
-        raise ValueError(f"r must be positive, got {p.r}")
-    f = math.sinh(k.kappa * p.r) / k.kappa
-    return f**3 * math.sin(p.theta) ** 2 * math.sin(p.psi)
+    f = np.sinh(k.kappa * np.asarray(r, dtype=float)) / k.kappa
+    f_th = f * np.sin(theta)
+    return np.stack(np.broadcast_arrays(np.ones_like(f), f, f_th,
+                                        f_th * np.sin(psi)))
 
 
 def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
@@ -150,7 +113,10 @@ def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    _check_off_pole(theta, psi, need_psi=True)
+    if np.any(np.abs(np.sin(theta)) < _POLE_TOL):
+        raise DegenerateCoordinateError("evaluation at a theta pole")
+    if np.any(np.abs(np.sin(psi)) < _POLE_TOL):
+        raise DegenerateCoordinateError("evaluation at a psi pole")
     if r <= 0:
         raise DegenerateCoordinateError("spin connection needs r > 0")
     shape = np.broadcast(theta, psi).shape

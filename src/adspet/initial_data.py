@@ -9,7 +9,6 @@ h.  Grid models are read from the "AADS-ID v1" text format.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ModelConstants, QuadratureSpec, sphere_grid, spin_connection_grid
+from .geometry import ModelConstants, frame_scales, sphere_grid, spin_connection_grid
 
 __all__ = [
     "InitialDataModel",
@@ -239,7 +238,6 @@ class GridModel(InitialDataModel):
         if len(self.radii) < 3 or np.any(np.diff(self.radii) <= 0):
             raise ValueError("grid radii must be >= 3 and strictly increasing")
         self.grid = sphere_grid(ntheta, npsi, nphi)
-        self.ntheta, self.npsi, self.nphi = ntheta, npsi, nphi
         shape = (len(self.radii), ntheta, npsi, nphi, 4, 4)
         self.a_data = np.asarray(a_data, dtype=float).reshape(shape)
         self.h_data = np.asarray(h_data, dtype=float).reshape(shape)
@@ -247,10 +245,6 @@ class GridModel(InitialDataModel):
         self._dth = _barycentric_diffmat(self.grid.theta[:, 0, 0])
         self._dps = _barycentric_diffmat(self.grid.psi[0, :, 0])
         self._dph = _fourier_diffmat(nphi) * (nphi / (2 * math.pi))
-
-    def quadrature(self, rel_tol: float = 1e-8) -> QuadratureSpec:
-        return QuadratureSpec(self.ntheta, self.npsi, self.nphi,
-                              tuple(self.radii), rel_tol)
 
     def _radius_index(self, r) -> int:
         r = float(np.asarray(r).reshape(()))
@@ -321,16 +315,6 @@ def model_from_config(config, constants: ModelConstants = ModelConstants()):
     return model_registry(config["name"], config.get("params"), constants)
 
 
-def _frame_scales(r, theta, psi, k: ModelConstants):
-    f = np.sinh(k.kappa * np.asarray(r, dtype=float)) / k.kappa
-    return (
-        np.ones(np.broadcast(r, theta, psi).shape),
-        f * np.ones_like(np.asarray(theta, dtype=float) * np.ones(np.broadcast(r, theta, psi).shape)),
-        f * np.sin(theta) * np.ones(np.broadcast(r, theta, psi).shape),
-        f * np.sin(theta) * np.sin(psi) * np.ones(np.broadcast(r, theta, psi).shape),
-    )
-
-
 def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
     """Radial mass aspect e_1, with the field shape.
 
@@ -343,7 +327,7 @@ def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
     k = model.constants
     a = model.a(r, theta, psi, phi)
     da = model.da_coord(r, theta, psi, phi)
-    scales = _frame_scales(r, theta, psi, k)
+    scales = frame_scales(r, theta, psi, k)
     omega = spin_connection_grid(r, theta, psi, k)  # (4,4,4) + angular shape
     div = sum(da[j][..., 0, j] / scales[j] for j in range(4))
     div = div - np.einsum("kj...,...kj->...", omega[:, 0, :], a)
@@ -424,43 +408,26 @@ def decay_validate(model: InitialDataModel, radii: Sequence[float],
                        sigma_a=sa, sigma_grad_a=sda, sigma_h=sh)
 
 
-def write_grid_file(path, model_or_data, radii=None, ntheta=None, npsi=None,
-                    nphi=None, tau=None, constants=None):
+def write_grid_file(path, model: InitialDataModel, radii, ntheta, npsi, nphi,
+                    tau=None):
     """Write an AADS-ID v1 file, sampling a model on the given grid."""
-    if isinstance(model_or_data, InitialDataModel):
-        model = model_or_data
-        k = model.constants
-        tau = model.tau if tau is None else tau
-        grid = sphere_grid(ntheta, npsi, nphi)
-        a_rows, h_rows = [], []
-        for r in radii:
-            a = np.broadcast_to(model.a(r, grid.theta, grid.psi, grid.phi),
-                                (ntheta, npsi, nphi, 4, 4))
-            h = np.broadcast_to(model.h(r, grid.theta, grid.psi, grid.phi),
-                                (ntheta, npsi, nphi, 4, 4))
-            a_rows.append(a)
-            h_rows.append(h)
-        a_data = np.stack(a_rows)
-        h_data = np.stack(h_rows)
-    else:
-        a_data, h_data = model_or_data
-        k = constants
-    nr = len(radii)
+    grid = sphere_grid(ntheta, npsi, nphi)
+    angles = (grid.theta, grid.psi, grid.phi)
+    rows, cols = zip(*SYM_ORDER)
+    # One row per node: the SYM_ORDER components of a, then those of h.
+    table = np.concatenate([
+        np.stack([np.broadcast_to(f(r, *angles), grid.shape + (4, 4))
+                  for r in radii])[..., rows, cols]
+        for f in (model.a, model.h)
+    ], axis=-1).reshape(-1, 20)
     with open(path, "w") as fh:
         fh.write("aads-id 1\n")
-        fh.write(f"kappa={k.kappa!r}\n")
-        fh.write(f"tau={float(tau)!r}\n")
-        fh.write(f"grid={nr} {ntheta} {npsi} {nphi}\n")
+        fh.write(f"kappa={model.constants.kappa!r}\n")
+        fh.write(f"tau={float(model.tau if tau is None else tau)!r}\n")
+        fh.write(f"grid={len(radii)} {ntheta} {npsi} {nphi}\n")
         fh.write("radii=" + " ".join(repr(float(r)) for r in radii) + "\n")
-        flat_a = a_data.reshape(nr, ntheta, npsi, nphi, 4, 4)
-        flat_h = h_data.reshape(nr, ntheta, npsi, nphi, 4, 4)
-        for ir in range(nr):
-            for it in range(ntheta):
-                for ip in range(npsi):
-                    for if_ in range(nphi):
-                        vals = [flat_a[ir, it, ip, if_][i, j] for i, j in SYM_ORDER]
-                        vals += [flat_h[ir, it, ip, if_][i, j] for i, j in SYM_ORDER]
-                        fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
+        for row in table.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def read_grid_file(path) -> GridModel:

@@ -12,11 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import (
-    DegenerateCoordinateError,
-    ModelConstants,
-    SlicePoint,
-)
+from .geometry import DegenerateCoordinateError, ModelConstants, frame_scales
 
 __all__ = [
     "ALL_LABELS",
@@ -165,36 +161,20 @@ def _coord_components(label, r, theta, psi, phi, k: ModelConstants):
 
 
 def killing_vector_coord(label, p, k: ModelConstants):
-    """Coordinate components (d/dt, d/dr, d/dtheta, d/dpsi, d/dphi).
-
-    Accepts a SlicePoint or broadcastable arrays (r, theta, psi, phi).
-    """
+    """Coordinate components (d/dt, d/dr, d/dtheta, d/dpsi, d/dphi) at the
+    broadcastable arrays p = (r, theta, psi, phi)."""
     canonical, sign = normalize_label(label)
-    if isinstance(p, SlicePoint):
-        args = (p.r, p.theta, p.psi, p.phi)
-    else:
-        args = p
-    comps = _coord_components(canonical, *args, k)
+    comps = _coord_components(canonical, *p, k)
     return tuple(sign * c for c in comps)
 
 
 def killing_vector_frame(label, p, k: ModelConstants):
     """Frame components U^(0..4) against the orthonormal AdS frame."""
-    if isinstance(p, SlicePoint):
-        r, theta, psi, phi = p.r, p.theta, p.psi, p.phi
-    else:
-        r, theta, psi, phi = p
-    ct, cr, cth, cps, cph = killing_vector_coord(label, (r, theta, psi, phi), k)
-    kappa = k.kappa
-    r = np.asarray(r, dtype=float)
-    f = np.sinh(kappa * r) / kappa
-    return (
-        ct * np.cosh(kappa * r),
-        cr * np.ones_like(f),
-        cth * f,
-        cps * f * np.sin(theta),
-        cph * f * np.sin(theta) * np.sin(psi),
-    )
+    r, theta, psi, _ = p
+    ct, cr, cth, cps, cph = killing_vector_coord(label, p, k)
+    s = frame_scales(r, theta, psi, k)
+    return (ct * np.cosh(k.kappa * r), cr * s[0], cth * s[1], cps * s[2],
+            cph * s[3])
 
 
 def killing_radial_scale(label, r: float, k: ModelConstants) -> float:
@@ -222,19 +202,11 @@ def killing_frame_table(label, theta, psi, phi, k: ModelConstants) -> np.ndarray
 
 
 def ads_metric_diag(x, k: ModelConstants) -> np.ndarray:
-    """Diagonal of the AdS metric in coordinates x = (t, r, theta, psi, phi)."""
+    """Diagonal of the AdS metric in coordinates x = (t, r, theta, psi, phi):
+    -cosh^2(kappa r), then the squared frame factors."""
     _, r, theta, psi, _ = x
-    kappa = k.kappa
-    f2 = (np.sinh(kappa * r) / kappa) ** 2
-    return np.array(
-        [
-            -np.cosh(kappa * r) ** 2,
-            1.0,
-            f2,
-            f2 * np.sin(theta) ** 2,
-            f2 * np.sin(theta) ** 2 * np.sin(psi) ** 2,
-        ]
-    )
+    lapse2 = np.cosh(k.kappa * r) ** 2
+    return np.concatenate([[-lapse2], frame_scales(r, theta, psi, k) ** 2])
 
 
 # Flat metric of the embedding space, indices 0..5 with 0 and 5 timelike.

@@ -229,7 +229,7 @@ def theorem_bounds(cs: ChargeSet, variant: str = "proof",
 
 @dataclass(frozen=True)
 class RigidityReport:
-    in_domain: bool | np.ndarray     # E0 below tolerance and Q PSD
+    in_domain: bool | np.ndarray     # E0 negligible and Q PSD
     q_frobenius: float | np.ndarray
     vanishes: bool | np.ndarray
     q: np.ndarray                    # the charge matrix the verdict reads
@@ -243,16 +243,21 @@ class RigidityReport:
         }
 
 
-def rigidity_check(cs: ChargeSet, tol: float = 1e-12,
-                   q_tol: float = 1e-9) -> RigidityReport:
-    """If the energy vanishes and Q is PSD, the whole matrix must vanish."""
+def rigidity_check(cs: ChargeSet, rel_tol: float = 1e-10) -> RigidityReport:
+    """If the energy vanishes and Q is PSD, the whole matrix must vanish.
+
+    E0 and |Q|_F are judged against rel_tol s, with s the largest |eigenvalue|
+    of Q as in psd_check, so Q = 0 is in the domain and vanishes, and a tiny
+    Q is judged on its own scale.
+    """
     qmat = assemble_q(cs)
-    psd = psd_check(qmat)
+    psd = psd_check(qmat, rel_tol)
+    cutoff = rel_tol * np.abs(psd.eigenvalues).max(axis=-1)
     qnorm = np.linalg.norm(qmat, axis=(-2, -1))
-    in_domain = (cs.e0 <= tol) & psd.psd
+    in_domain = (cs.e0 <= cutoff) & psd.psd
     return RigidityReport(
         in_domain=_scalar(in_domain), q_frobenius=qnorm,
-        vanishes=_scalar(in_domain & (qnorm <= q_tol)), q=qmat, psd=psd,
+        vanishes=_scalar(in_domain & (qnorm <= cutoff)), q=qmat, psd=psd,
     )
 
 
@@ -296,54 +301,46 @@ class IdentityReport:
         }
 
 
+# The matrices of the spinor bilinears in the exact-mode integrand: the
+# identity, gamma_1..4 and gamma_0 gamma_1..4.
+_BILINEAR_MATS = np.stack([np.eye(4)] + [gamma(k) for k in range(1, 5)]
+                          + [gamma(0) @ gamma(k) for k in range(1, 5)])
+
+
 def _identity_surface_value(s: SurfaceData, lam, mode):
-    """One radius of the boundary surface integral, either mode."""
+    """One radius of the boundary surface integral, either mode.
+
+    The integrand is summed at the nodes and integrated once.
+    """
     k = s.constants
     grid = s.grid
     theta, psi, phi = grid.theta, grid.psi, grid.phi
-    shape = grid.shape
-    e1 = s.e1
-
-    def integral(f):
-        return complex(s.integrate(f))
 
     if mode == "leading":
         up, _, vp, _ = profiles(lam, theta, psi, phi)
-        up = np.broadcast_to(up, shape)
-        vp = np.broadcast_to(vp, shape)
-        ekr = math.exp(k.kappa * s.r)
+        uu, vv, uv = np.abs(up) ** 2, np.abs(vp) ** 2, np.conj(up) * vp
         _, p21, p31, p41 = s.p1
-        val = 0.5 * integral(e1 * (np.abs(up) ** 2 + np.abs(vp) ** 2) * ekr)
-        val += integral(p21 * (np.abs(up) ** 2 - np.abs(vp) ** 2) * ekr)
-        val += -1j * integral(p31 * (np.conj(up) * vp - np.conj(vp) * up) * ekr)
-        val += integral(p41 * (np.conj(up) * vp + np.conj(vp) * up) * ekr)
-        return val
+        integrand = (0.5 * s.e1 * (uu + vv) + p21 * (uu - vv)
+                     + 2 * p31 * uv.imag + 2 * p41 * uv.real)
+        return complex(s.integrate(integrand * math.exp(k.kappa * s.r)))
 
     # Exact mode: the three bilinear terms with the full spinor.
     spinor = killing_spinor_grid(lam, s.r, theta, psi, phi, k)  # (4,) + shape
-    spinor = np.broadcast_to(spinor, (4,) + shape)
-    norm2 = np.sum(np.abs(spinor) ** 2, axis=0)
-
-    def bil(mat):
-        # <Phi, mat Phi> pointwise over the grid.
-        acted = np.einsum("ab,b...->a...", mat, spinor)
-        return np.sum(np.conj(spinor) * acted, axis=0)
+    # <Phi, M Phi> pointwise over the grid, for each M in _BILINEAR_MATS.
+    bil = np.einsum("a...,nab,b...->n...", np.conj(spinor), _BILINEAR_MATS,
+                    spinor)
 
     a = s.a
     tra = np.einsum("...ii->...", a)
     g_k1 = np.eye(4)[0] + a[..., :, 0]  # g_{k1} = delta_k1 + a_k1, index k
-
-    # Divergence-minus-trace scalar (the connection part of the mass aspect
-    # without the kappa correction term).
-    div_minus_tr = e1 + k.kappa * (a[..., 0, 0] - g_k1[..., 0] * tra)
-
-    val = 0.25 * integral(div_minus_tr * norm2)
-    for kk in range(4):
-        coeff_a = k.kappa * (a[..., kk, 0] - g_k1[..., kk] * tra)
-        val += 0.25 * integral(coeff_a * (1j * bil(gamma(kk + 1))))
-        # The h coefficient h_k1 - g_k1 tr h is the momentum aspect P_{k1}.
-        val += -0.5 * integral(s.p1[kk] * bil(gamma(0) @ gamma(kk + 1)))
-    return val
+    coeff_a = k.kappa * np.moveaxis(a[..., :, 0] - g_k1 * tra[..., None], -1, 0)
+    # e_1 + coeff_a[0] is the divergence-minus-trace scalar: the mass aspect
+    # without its kappa correction term.  The h coefficient h_k1 - g_k1 tr h
+    # is the momentum aspect P_{k1}.
+    integrand = (0.25 * (s.e1 + coeff_a[0]) * bil[0]
+                 + 0.25j * np.sum(coeff_a * bil[1:5], axis=0)
+                 - 0.5 * np.sum(s.p1 * bil[5:], axis=0))
+    return complex(s.integrate(integrand))
 
 
 def boundary_identity(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import gamma
-from .geometry import ModelConstants, SlicePoint, frame_scale, spin_connection_grid
+from .geometry import ModelConstants, SlicePoint, frame_scales, spin_connection_grid
 
 __all__ = [
     "KillingParams",
@@ -88,11 +88,11 @@ def _spinor_covariant_derivative(lam, p, direction, h, k):
     step[direction - 1] = h
     cp = coords + step
     cm = coords - step
+    omega = spin_connection_grid(p.r, p.theta, p.psi, k)  # raises at a pole
     phi_p = killing_spinor_grid(lam, cp[0], cp[1], cp[2], cp[3], k)
     phi_m = killing_spinor_grid(lam, cm[0], cm[1], cm[2], cm[3], k)
-    scale = frame_scale(direction, p, k)
+    scale = frame_scales(p.r, p.theta, p.psi, k)[direction - 1]
     deriv = (phi_p - phi_m) / (2.0 * h * scale)
-    omega = spin_connection_grid(p.r, p.theta, p.psi, k)
     phi0 = killing_spinor(lam, p, k)
     conn = np.zeros(4, dtype=complex)
     a = direction - 1

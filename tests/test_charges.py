@@ -109,8 +109,8 @@ def test_offdiag_angular_momentum_selection():
         OffdiagMomentumModel(q=0.05, axis=2, profile="sin_phi",
                              constants=K1), Q_STD
     )
-    assert cs.j_component(2, 4) == pytest.approx(-0.05 * math.pi**2 / 512.0,
-                                                 rel=1e-9)
+    assert cs.j[J_ORDER.index((2, 4))] == pytest.approx(
+        -0.05 * math.pi**2 / 512.0, rel=1e-9)
     mask = np.abs(cs.values()) > 1e-12
     assert list(np.nonzero(mask)[0]) == [CHARGE_NAMES.index("j24")]
 
@@ -130,16 +130,6 @@ def test_radii_schedule_stability():
     cs_a = compute_charges(model, Q_STD)
     cs_b = compute_charges(model, alt)
     assert cs_a.e0 == pytest.approx(cs_b.e0, rel=1e-9)
-
-
-def test_charge_set_j_component():
-    j = np.arange(1.0, 7.0)
-    cs = ChargeSet(e0=1.0, c=np.zeros(4), cp=np.zeros(4), j=j)
-    assert cs.j_component(1, 2) == 1.0
-    assert cs.j_component(2, 1) == -1.0
-    assert cs.j_component(3, 4) == 6.0
-    assert cs.j_component(2, 2) == 0.0
-    assert J_ORDER.index((1, 2)) == 0
 
 
 def test_derived_quantities_examples():

@@ -1,17 +1,9 @@
-"""Tests for the exact Clifford generators and spinor bilinears."""
+"""Tests for the exact Clifford generators."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from adspet.clifford import (
-    ETA,
-    bilinear,
-    dec_check,
-    gamma,
-    validate_stress_energy,
-    weitzenboeck_endomorphism,
-)
+from adspet.clifford import ETA, gamma
 
 
 def test_anticommutators_exact():
@@ -40,69 +32,3 @@ def test_gamma_read_only_and_index_errors():
     for bad in (-1, 5, 2.0, "1"):
         with pytest.raises(IndexError):
             gamma(bad)
-
-
-def test_bilinear_examples():
-    e1 = np.array([1, 0, 0, 0], dtype=complex)
-    e3 = np.array([0, 0, 1, 0], dtype=complex)
-    assert bilinear(e1, np.eye(4), e1) == 1.0
-    # gamma_0 e3 = -e3
-    assert bilinear(e3, gamma(0), e3) == -1.0
-    # antilinear in the first slot
-    phi = np.array([1j, 0, 0, 0])
-    assert bilinear(phi, np.eye(4), e1) == pytest.approx(-1j)
-
-
-@given(st.integers(0, 4), st.integers(0, 4))
-def test_bilinear_hermitian_symmetry(a, b):
-    rng = np.random.default_rng(a * 5 + b)
-    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    mat = gamma(a) @ gamma(b)
-    lhs = bilinear(phi, mat, psi)
-    rhs = bilinear(psi, mat.conj().T, phi)
-    assert lhs == pytest.approx(np.conj(rhs))
-
-
-def test_validate_stress_energy_rejects():
-    with pytest.raises(ValueError):
-        validate_stress_energy(np.zeros((4, 4)))
-    bad = np.zeros((5, 5))
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        validate_stress_energy(bad)
-
-
-def test_weitzenboeck_dust():
-    # Pure energy density: R-hat = (rho/2) g0 g0 = (rho/2) Id.
-    T = np.zeros((5, 5))
-    T[0, 0] = 2.0
-    phi = np.array([1, 2j, 0, -1], dtype=complex)
-    assert np.allclose(weitzenboeck_endomorphism(T, phi), phi)
-
-
-def test_weitzenboeck_positivity_under_dec():
-    # <phi, R-hat phi> >= 0 whenever the dominant energy condition holds.
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        flux = rng.standard_normal(4)
-        t00 = np.linalg.norm(flux) * (1.0 + rng.random())
-        T = np.zeros((5, 5))
-        T[0, 0] = t00
-        T[0, 1:] = T[1:, 0] = flux
-        assert dec_check(T)
-        phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        val = bilinear(phi, np.eye(4), weitzenboeck_endomorphism(T, phi))
-        assert abs(val.imag) < 1e-12 * max(1.0, abs(val))
-        assert val.real >= -1e-12 * np.linalg.norm(phi) ** 2 * t00
-
-
-def test_dec_check_cases():
-    T = np.zeros((5, 5))
-    T[0, 0] = 1.0
-    assert dec_check(T)
-    T[0, 1] = T[1, 0] = 2.0  # flux exceeds density
-    assert not dec_check(T)
-    T[0, 1] = T[1, 0] = 0.0
-    T[2, 2] = 3.0  # spatial stress exceeds density
-    assert not dec_check(T)

@@ -10,12 +10,10 @@ from adspet.geometry import (
     ModelConstants,
     QuadratureSpec,
     SlicePoint,
-    frame_scale,
+    frame_scales,
     radial_limit,
     sphere_grid,
-    sphere_measure_density,
     spin_connection_grid,
-    time_scale,
 )
 
 K1 = ModelConstants(1.0)
@@ -26,7 +24,6 @@ def test_constants_validation():
         ModelConstants(0.0)
     with pytest.raises(ValueError):
         ModelConstants(-1.0)
-    assert ModelConstants(2.0).cosmological_constant == -24.0
 
 
 def test_slice_point_ranges():
@@ -51,31 +48,33 @@ def test_quadrature_spec_validation():
 
 
 def test_frame_scales():
-    p = SlicePoint(2.0, math.pi / 3, math.pi / 4, 0.5)
+    s = frame_scales(2.0, math.pi / 3, math.pi / 4, K1)
     f = math.sinh(2.0)
-    assert frame_scale(1, p, K1) == 1.0
-    assert frame_scale(2, p, K1) == pytest.approx(f)
-    assert frame_scale(3, p, K1) == pytest.approx(f * math.sin(math.pi / 3))
-    assert frame_scale(4, p, K1) == pytest.approx(
-        f * math.sin(math.pi / 3) * math.sin(math.pi / 4)
-    )
-    assert time_scale(p, K1) == pytest.approx(math.cosh(2.0))
-    with pytest.raises(IndexError):
-        frame_scale(0, p, K1)
+    assert s[0] == 1.0
+    assert s[1] == pytest.approx(f)
+    assert s[2] == pytest.approx(f * math.sin(math.pi / 3))
+    assert s[3] == pytest.approx(f * math.sin(math.pi / 3) * math.sin(math.pi / 4))
+    # Arrays broadcast together, one leading axis for the four scales.
+    grid = frame_scales(np.array([1.0, 2.0])[:, None, None],
+                        np.linspace(0.3, 2.8, 3)[None, :, None],
+                        np.linspace(0.3, 2.8, 4)[None, None, :], K1)
+    assert grid.shape == (4, 2, 3, 4)
+    assert grid[3, 1, 0, 0] == pytest.approx(f * math.sin(0.3) ** 2)
 
 
 def test_frame_scale_kappa_dependence():
     k2 = ModelConstants(2.0)
-    p = SlicePoint(1.0, math.pi / 2, math.pi / 2, 0.0)
-    assert frame_scale(2, p, k2) == pytest.approx(math.sinh(2.0) / 2.0)
+    assert frame_scales(1.0, math.pi / 2, math.pi / 2, k2)[1] == pytest.approx(
+        math.sinh(2.0) / 2.0)
 
 
 def test_measure_density_and_pole_errors():
-    p = SlicePoint(1.0, math.pi / 2, math.pi / 2, 0.0)
-    assert sphere_measure_density(p, K1) == pytest.approx(math.sinh(1.0) ** 3)
+    # The area form e^2 ^ e^3 ^ e^4 has the density s_2 s_3 s_4.
+    s = frame_scales(1.0, math.pi / 2, math.pi / 2, K1)
+    assert np.prod(s[1:]) == pytest.approx(math.sinh(1.0) ** 3)
+    # At a theta pole the angular scales vanish; the connection is singular.
     pole = SlicePoint(1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(DegenerateCoordinateError):
-        frame_scale(3, pole, K1)
+    assert np.all(frame_scales(pole.r, pole.theta, pole.psi, K1)[2:] == 0.0)
     with pytest.raises(DegenerateCoordinateError):
         spin_connection_grid(pole.r, pole.theta, pole.psi, K1)
 

@@ -265,6 +265,10 @@ def test_verdicts_scale_with_the_charges():
     assert theorem_bounds(zero).satisfied
     rep = rigidity_check(zero)
     assert rep.in_domain and rep.vanishes and rep.q_frobenius == 0.0
+    # E0 = 1e-13 with zero momenta is Q = 1e-13 Id: the energy is the whole
+    # scale of Q, so it does not vanish and the rigidity hypothesis fails.
+    rep = rigidity_check(charge_set(e0=1e-13))
+    assert not rep.in_domain and not rep.vanishes
     # Every verdict is invariant under scaling all charges together: PSD
     # samples, and the same samples with min eig Q = -1e-3.
     e0, c, cp, j, delta = sample_momenta(9, 40)
@@ -272,12 +276,15 @@ def test_verdicts_scale_with_the_charges():
         base = ChargeSet(e0=e, c=c, cp=cp, j=j)
         assert np.all(psd_check(assemble_q(base)).psd == psd)
         satisfied = theorem_bounds(base).satisfied
+        in_domain = rigidity_check(base).in_domain
         for scale in (1e-15, 1e-9, 1e-3, 1e3):
             scaled = ChargeSet(e0=scale * e, c=scale * c, cp=scale * cp,
                                j=scale * j)
             assert np.all(psd_check(assemble_q(scaled)).psd == psd), scale
             assert np.array_equal(theorem_bounds(scaled).satisfied,
                                   satisfied), scale
+            assert np.array_equal(rigidity_check(scaled).in_domain,
+                                  in_domain), scale
 
 
 def _mixed_batch(n=200):
@@ -373,6 +380,24 @@ def test_boundary_identity_exact_mode_random_lambda():
     assert not rep.diverged
     assert rep.gap < 1e-8
     assert rep.lhs_imag < 1e-10
+
+
+# lhs of boundary_identity for the offdiag case of
+# test_boundary_identity_exact_mode_random_lambda, from the code that
+# integrated each term of the integrand separately.
+FROZEN_IDENTITY_LHS = {"leading": -0.0228480063745956,
+                       "exact": -0.022848006372007967}
+
+
+@pytest.mark.parametrize("mode", ["leading", "exact"])
+def test_boundary_identity_lhs_frozen(mode):
+    model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta",
+                                 constants=K1)
+    rng = np.random.default_rng(6)
+    lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    lhs = boundary_identity(model, lam, Q_STD, mode).lhs
+    frozen = FROZEN_IDENTITY_LHS[mode]
+    assert abs(lhs - frozen) <= 1e-12 * abs(frozen)
 
 
 def test_boundary_identity_mode_validation():
