@@ -195,14 +195,17 @@ class SurfaceData:
 
     It is evaluated once per (model, radius, grid); the charges and both
     modes of the boundary identity read it.
+
+    The fields keep the model's own shape S, which broadcasts to the grid
+    shape and has length 1 along every angle the data do not depend on.
     """
 
     r: float
     grid: SphereGrid
     constants: ModelConstants
-    a: np.ndarray        # metric perturbation, grid shape + (4, 4)
-    e1: np.ndarray       # radial mass aspect, grid shape
-    p1: np.ndarray       # P_{k1} for k = 1..4, shape (4,) + grid shape
+    a: np.ndarray        # metric perturbation, shape S + (4, 4)
+    e1: np.ndarray       # radial mass aspect, shape S
+    p1: np.ndarray       # P_{k1} for k = 1..4, shape (4,) + S
     values: np.ndarray   # the fifteen pre-limit surface integrals
 
     def integrate(self, values):
@@ -221,19 +224,19 @@ def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
     tables = _charge_tables(ntheta, npsi, nphi, k)
     grid = tables.grid
     angles = (grid.theta, grid.psi, grid.phi)
-    shape = grid.shape
-    e1 = np.broadcast_to(mass_aspect_grid(model, r, *angles), shape)
-    paspect = momentum_aspect_grid(model, r, *angles)
-    p1 = np.moveaxis(np.broadcast_to(paspect[..., :, 0], shape + (4,)), -1, 0)
+    e1 = mass_aspect_grid(model, r, *angles)
+    p1 = np.moveaxis(momentum_aspect_grid(model, r, *angles)[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)
     kr = k.kappa * r
     radial = np.array([killing_radial_scale(label, r, k)
                        for label in _E_LABELS + _P_LABELS])
     radial *= _PREFACTOR * k.kappa * (math.sinh(kr) / k.kappa) ** 3
-    values = radial * np.concatenate([tables.e @ e1.ravel(),
-                                      tables.p @ p1[1:].ravel()])
-    a = np.broadcast_to(model.a(r, *angles), shape + (4, 4))
+    # The tables run over every node, so the data are spread to the grid here.
+    values = radial * np.concatenate([
+        tables.e @ np.broadcast_to(e1, grid.shape).ravel(),
+        tables.p @ np.broadcast_to(p1[1:], (3,) + grid.shape).ravel()])
+    a = model.a(r, *angles)
     return SurfaceData(r=float(r), grid=grid, constants=k, a=a, e1=e1, p1=p1,
                        values=values)
 

@@ -1,7 +1,8 @@
 """Command-line interface with machine-readable JSON reports.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-3 divergence detected.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
+(bad arguments or model config), 3 divergence detected, 4 internal
+numerical failure (non-finite surface data or a non-Hermitian Q).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .charges import CHARGE_NAMES, ChargeSet, compute_charges, derived
 from .clifford import ETA, gamma
-from .geometry import ModelConstants, QuadratureSpec, SlicePoint
+from .geometry import ModelConstants, NumericalError, QuadratureSpec, SlicePoint
 from .initial_data import decay_validate, model_from_config
 from .killing import ALL_LABELS, killing_residual, normalize_label
 from .qmatrix import (
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+EXIT_NUMERICAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +81,10 @@ def _say(args, *parts):
         print(*parts)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state from one call to the next."""
     parser = _Parser(prog="adspet",
                      description="Energy-momenta and positivity bounds for "
                                  "(4+1)-dimensional asymptotically AdS data")
@@ -409,6 +414,9 @@ def main(argv=None) -> int:
             }[args.what]
             return handler(args)
         return _COMMANDS[args.command](args)
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

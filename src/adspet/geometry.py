@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 __all__ = [
     "DegenerateCoordinateError",
+    "NumericalError",
     "ModelConstants",
     "SlicePoint",
     "QuadratureSpec",
@@ -35,6 +36,11 @@ _POLE_TOL = 1e-12
 
 class DegenerateCoordinateError(ValueError):
     """Raised when a frame quantity is evaluated at a coordinate pole."""
+
+
+class NumericalError(ValueError):
+    """An internal numerical failure, not a fault in the caller's input:
+    non-finite surface data, or a charge matrix that is not Hermitian."""
 
 
 @dataclass(frozen=True)
@@ -151,14 +157,15 @@ class SphereGrid:
         return self.weights.shape
 
     def require_finite(self, values):
-        """Raise ValueError naming the first node where values is not finite.
+        """Raise NumericalError naming the first node where values is not
+        finite.
 
         The last three axes of values are the grid axes.
         """
         finite = np.isfinite(values)
         if not finite.all():
             it, ip, iph = np.argwhere(~finite)[0][-3:]
-            raise ValueError(
+            raise NumericalError(
                 "non-finite value at node (theta=%g, psi=%g, phi=%g)"
                 % (self.theta[it, 0, 0], self.psi[0, ip, 0], self.phi[0, 0, iph])
             )

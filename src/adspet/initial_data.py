@@ -37,24 +37,37 @@ __all__ = [
 # Row-major order of the 10 independent components of a symmetric 4x4 field.
 SYM_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
+
+def _ndim(*coords) -> int:
+    """Number of axes of broadcast(*coords)."""
+    return max(np.ndim(c) for c in coords)
+
+
+def _leading_axes(x, *coords) -> np.ndarray:
+    """x as a float array with length-1 axes prepended, up to the number of
+    axes of broadcast(*coords); numpy broadcasting aligns them the same way."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape((1,) * (_ndim(*coords) - x.ndim) + x.shape)
+
+
+def _zero_field(r, theta, psi, phi, lead=()) -> np.ndarray:
+    """A vanishing field: shape lead + (1,) * ndim + (4, 4)."""
+    return np.zeros(lead + (1,) * _ndim(r, theta, psi, phi) + (4, 4))
+
+
+# Angular profiles g(theta, psi, phi).  Each returns an array with as many
+# axes as broadcast(theta, psi, phi), of length 1 along every angle it does
+# not depend on: on the sphere grid, sin_theta has shape (ntheta, 1, 1) and
+# one has shape (1, 1, 1).
 ANGULAR_PROFILES: dict[str, Callable] = {
-    "one": lambda t, p, f: np.ones(np.broadcast(t, p, f).shape),
-    "sin_theta": lambda t, p, f: np.sin(t) * np.ones(np.broadcast(t, p, f).shape),
-    "cos_theta": lambda t, p, f: np.cos(t) * np.ones(np.broadcast(t, p, f).shape),
-    "sin_psi": lambda t, p, f: np.sin(p) * np.ones(np.broadcast(t, p, f).shape),
-    "cos_psi": lambda t, p, f: np.cos(p) * np.ones(np.broadcast(t, p, f).shape),
-    "sin_phi": lambda t, p, f: np.sin(f) * np.ones(np.broadcast(t, p, f).shape),
-    "cos_phi": lambda t, p, f: np.cos(f) * np.ones(np.broadcast(t, p, f).shape),
+    "one": lambda t, p, f: _leading_axes(1.0, t, p, f),
+    "sin_theta": lambda t, p, f: _leading_axes(np.sin(t), t, p, f),
+    "cos_theta": lambda t, p, f: _leading_axes(np.cos(t), t, p, f),
+    "sin_psi": lambda t, p, f: _leading_axes(np.sin(p), t, p, f),
+    "cos_psi": lambda t, p, f: _leading_axes(np.cos(p), t, p, f),
+    "sin_phi": lambda t, p, f: _leading_axes(np.sin(f), t, p, f),
+    "cos_phi": lambda t, p, f: _leading_axes(np.cos(f), t, p, f),
 }
-
-
-def _grid_shape(r, theta, psi, phi):
-    return np.broadcast(
-        np.asarray(r, dtype=float),
-        np.asarray(theta, dtype=float),
-        np.asarray(psi, dtype=float),
-        np.asarray(phi, dtype=float),
-    ).shape
 
 
 class InitialDataModel:
@@ -69,7 +82,13 @@ class InitialDataModel:
         self.constants = constants
 
     def a(self, r, theta, psi, phi) -> np.ndarray:
-        """Metric perturbation, shape broadcast(r, angles) + (4, 4)."""
+        """Metric perturbation, shape S + (4, 4): the field shape S has as
+        many axes as broadcast(r, theta, psi, phi) and broadcasts to it.
+
+        An axis the field does not depend on may have length 1, so on the
+        sphere grid a purely radial field has S = (1, 1, 1); a model may
+        also return the full broadcast shape.
+        """
         raise NotImplementedError
 
     def h(self, r, theta, psi, phi) -> np.ndarray:
@@ -80,7 +99,8 @@ class InitialDataModel:
     fd_step = 1e-5
 
     def da_coord(self, r, theta, psi, phi) -> np.ndarray:
-        """Coordinate derivatives of a: shape (4,) + field shape.
+        """Coordinate derivatives of a: shape (4,) + S + (4, 4), with the
+        field shape S of the a() contract.
 
         Axis 0 enumerates d/dr, d/dtheta, d/dpsi, d/dphi.
         """
@@ -111,13 +131,13 @@ class AdsExactModel(InitialDataModel):
         super().__init__(tau, constants)
 
     def _zeros(self, r, theta, psi, phi):
-        return np.zeros(_grid_shape(r, theta, psi, phi) + (4, 4))
+        return _zero_field(r, theta, psi, phi)
 
     a = _zeros
     h = _zeros
 
     def da_coord(self, r, theta, psi, phi):
-        return np.zeros((4,) + _grid_shape(r, theta, psi, phi) + (4, 4))
+        return _zero_field(r, theta, psi, phi, lead=(4,))
 
 
 class RadialBumpModel(InitialDataModel):
@@ -133,22 +153,22 @@ class RadialBumpModel(InitialDataModel):
         self.m = float(m)
         self.sigma = float(sigma)
 
-    def _profile(self, r):
-        return self.m * np.exp(-self.sigma * self.constants.kappa * np.asarray(r, dtype=float))
+    def _profile(self, r, theta, psi, phi):
+        f = self.m * np.exp(-self.sigma * self.constants.kappa
+                            * np.asarray(r, dtype=float))
+        return _leading_axes(f, r, theta, psi, phi)
 
     def a(self, r, theta, psi, phi):
-        shape = _grid_shape(r, theta, psi, phi)
-        f = np.broadcast_to(self._profile(r), shape)
-        return f[..., None, None] * np.eye(4)
+        return self._profile(r, theta, psi, phi)[..., None, None] * np.eye(4)
 
     def h(self, r, theta, psi, phi):
-        return np.zeros(_grid_shape(r, theta, psi, phi) + (4, 4))
+        return _zero_field(r, theta, psi, phi)
 
     def da_coord(self, r, theta, psi, phi):
-        shape = _grid_shape(r, theta, psi, phi)
-        out = np.zeros((4,) + shape + (4, 4))
-        df = -self.sigma * self.constants.kappa * self._profile(r)
-        out[0] = np.broadcast_to(df, shape)[..., None, None] * np.eye(4)
+        f = self._profile(r, theta, psi, phi)
+        out = np.zeros((4,) + f.shape + (4, 4))
+        df = -self.sigma * self.constants.kappa * f
+        out[0] = df[..., None, None] * np.eye(4)
         return out
 
     def params(self):
@@ -177,27 +197,22 @@ class OffdiagMomentumModel(InitialDataModel):
         self.sigma = float(sigma)
 
     def a(self, r, theta, psi, phi):
-        return np.zeros(_grid_shape(r, theta, psi, phi) + (4, 4))
+        return _zero_field(r, theta, psi, phi)
 
     def h(self, r, theta, psi, phi):
-        shape = _grid_shape(r, theta, psi, phi)
         radial = self.q * np.exp(
             -self.sigma * self.constants.kappa * np.asarray(r, dtype=float)
         )
-        w = ANGULAR_PROFILES[self.profile](
-            np.asarray(theta, dtype=float),
-            np.asarray(psi, dtype=float),
-            np.asarray(phi, dtype=float),
-        )
-        field = np.broadcast_to(radial * w, shape)
-        out = np.zeros(shape + (4, 4))
+        w = ANGULAR_PROFILES[self.profile](theta, psi, phi)
+        field = _leading_axes(radial * w, r, theta, psi, phi)
+        out = np.zeros(field.shape + (4, 4))
         kk = self.axis - 1
         out[..., 0, kk] = field
         out[..., kk, 0] = field
         return out
 
     def da_coord(self, r, theta, psi, phi):
-        return np.zeros((4,) + _grid_shape(r, theta, psi, phi) + (4, 4))
+        return _zero_field(r, theta, psi, phi, lead=(4,))
 
     def params(self):
         return {"q": self.q, "axis": self.axis, "profile": self.profile,
@@ -295,17 +310,18 @@ class GridModel(InitialDataModel):
 
 def model_registry(name: str, params: dict | None = None,
                    constants: ModelConstants = ModelConstants()) -> InitialDataModel:
-    """Construct a bundled model by name."""
+    """Construct a bundled model by name; bad params raise ValueError."""
     params = dict(params or {})
-    if name == "ads_exact":
-        return AdsExactModel(constants=constants, **params)
-    if name == "radial_bump":
-        return RadialBumpModel(constants=constants, **params)
-    if name == "offdiag_momentum":
-        return OffdiagMomentumModel(constants=constants, **params)
     if name == "grid":
         return read_grid_file(params["file"])
-    raise ValueError(f"unknown model {name!r}")
+    classes = {cls.name: cls for cls in (AdsExactModel, RadialBumpModel,
+                                         OffdiagMomentumModel)}
+    if name not in classes:
+        raise ValueError(f"unknown model {name!r}")
+    try:
+        return classes[name](constants=constants, **params)
+    except TypeError as exc:  # a missing, unknown or non-numeric parameter
+        raise ValueError(f"bad params for model {name!r}: {exc}") from exc
 
 
 def model_from_config(config, constants: ModelConstants = ModelConstants()):
@@ -316,7 +332,7 @@ def model_from_config(config, constants: ModelConstants = ModelConstants()):
 
 
 def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
-    """Radial mass aspect e_1, with the field shape.
+    """Radial mass aspect e_1, shape broadcast(field shape, r, theta, psi).
 
     e_1 is the frame divergence of a along e_1, minus the radial derivative
     of tr a, minus kappa (a_11 - g_11 tr a), with g = delta + a.  The
@@ -340,7 +356,8 @@ def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
 
 
 def momentum_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
-    """Momentum aspect P_{ki} = h_ki - g_ki tr h, shape field shape + (4, 4)."""
+    """Momentum aspect P_{ki} = h_ki - g_ki tr h, shape S + (4, 4) with S
+    the broadcast of the field shapes of a and h."""
     a = model.a(r, theta, psi, phi)
     h = model.h(r, theta, psi, phi)
     trh = np.einsum("...ii->...", h)

@@ -24,7 +24,7 @@ from .charges import (
     derived,
 )
 from .clifford import gamma
-from .geometry import QuadratureSpec, radial_limit
+from .geometry import NumericalError, QuadratureSpec, radial_limit
 from .initial_data import InitialDataModel
 from .spinors import KillingParams, killing_spinor_grid, profiles
 
@@ -104,7 +104,7 @@ def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
         raise ValueError(f"Q must be 4x4, got shape {qmat.shape}")
     skew = np.abs(qmat - np.conj(np.swapaxes(qmat, -1, -2))).max(axis=(-2, -1))
     if np.any(skew > 1e-12 * np.abs(qmat).max(axis=(-2, -1))):
-        raise ValueError("psd_check requires a Hermitian matrix")
+        raise NumericalError("psd_check requires a Hermitian matrix")
     eig = np.linalg.eigvalsh(qmat)
     scale = np.abs(eig).max(axis=-1)
     minors = np.stack([np.linalg.det(qmat[..., :k, :k]).real for k in range(1, 5)],
@@ -349,7 +349,11 @@ def boundary_identity(
     q: QuadratureSpec,
     mode: str = "leading",
 ) -> IdentityReport:
-    """Compare the spinor boundary integral with 8 pi lambda^dagger Q lambda."""
+    """Compare the spinor boundary integral with 8 pi lambda^dagger Q lambda.
+
+    The gap is |lhs - rhs| over max(|lhs|, |rhs|, 8 pi |lambda|^2 max|eig Q|),
+    and 0 when that scale is 0.
+    """
     if mode not in ("leading", "exact"):
         raise ValueError(f"mode must be 'leading' or 'exact', got {mode!r}")
     cs, surfaces = charges_and_surfaces(model, q)
@@ -362,8 +366,16 @@ def boundary_identity(
     qmat = assemble_q(cs)
     lvec = lam.as_array()
     rhs = float((8 * math.pi) * np.real(np.conj(lvec) @ qmat @ lvec))
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    gap = abs(lhs - rhs) / scale
+    # lambda^dagger Q lambda can vanish while Q does not, leaving lhs as
+    # quadrature roundoff; the gap is judged on the scale of the data,
+    # which bounds |rhs| by 8 pi |lambda|^2 max|eig Q|.  A diverged charge
+    # leaves Q non-finite, which eigvalsh rejects; the gap is then NaN.
+    q_scale = math.nan
+    if np.isfinite(qmat).all():
+        q_scale = ((8 * math.pi) * np.vdot(lvec, lvec).real
+                   * np.abs(np.linalg.eigvalsh(qmat)).max())
+    scale = np.max([abs(lhs), abs(rhs), q_scale])
+    gap = 0.0 if scale == 0 else abs(lhs - rhs) / scale
     return IdentityReport(
         lhs=float(lhs), rhs=rhs, gap=float(gap), mode=mode,
         lhs_imag=float(lhs_imag),

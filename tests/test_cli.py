@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from adspet import cli
 from adspet.cli import main
 
 BUMP = '{"name": "radial_bump", "params": {"m": 0.1}}'
@@ -157,6 +158,9 @@ def test_usage_errors(capsys):
     assert main(["charges"]) == 2  # --model is required
     assert main(["charges", "--model", "{broken json"]) == 2
     assert main(["charges", "--model", '{"name": "no_such_model"}']) == 2
+    assert main(["charges", "--model", '{"name": "radial_bump"}']) == 2  # no m
+    assert main(["charges", "--model",
+                 '{"name": "radial_bump", "params": {"m": 1, "x": 2}}']) == 2
     capsys.readouterr()
 
 
@@ -176,4 +180,68 @@ def test_kappa_flag(tmp_path, capsys):
     assert data["charges"]["e0"] == pytest.approx(
         15.0 * math.pi * 0.1 / (128.0 * 4.0), rel=1e-6
     )
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["leading", "exact"])
+def test_identity_gap_judged_on_the_data_scale(tmp_path, capsys, mode):
+    # lambda^dagger Q lambda = 0 exactly while Q does not vanish; the lhs is
+    # quadrature roundoff, far below the scale of Q.
+    model = ('{"name":"offdiag_momentum",'
+             '"params":{"q":0.1,"axis":2,"profile":"sin_theta"}}')
+    out = tmp_path / "identity.json"
+    code = main(["identity", "--model", model, "--lambda=1,0,0,0.5,0,0,-0.3,0",
+                 "--mode", mode, "--out", str(out), "--quiet"])
+    data = json.loads(out.read_text())
+    assert data["rhs"] == 0.0 and abs(data["lhs"]) < 1e-15
+    assert data["gap"] < 1e-12
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_parser_reuse_matches_fresh_parser(tmp_path, capsys):
+    charges = tmp_path / "charges.json"
+    assert main(["charges", "--model", BUMP, *SMALL, "--out", str(charges),
+                 "--quiet"]) == 0
+    calls = [
+        (["qmatrix", "--charges", str(charges), "--variant", "theorem-text"], 0),
+        (["sample-psd", "--n", "50", "--seed", "3"], 0),
+        (["bound", "--model", OFFDIAG, "--rtol", "1e-9", *SMALL], 1),
+        (["bound", "--ntheta", "8"], 2),
+        (["qmatrix", "--charges", str(charges)], 0),
+        (["bound", "--model", BUMP, *SMALL], 0),
+        (["decay", "--model", BUMP], 0),
+    ]
+
+    def run(tag, fresh):
+        reports = []
+        for n, (argv, code) in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{tag}{n}.json"
+            assert main([*argv, "--out", str(out), "--quiet"]) == code, argv
+            reports.append(out.read_bytes() if out.exists() else None)
+        return reports
+
+    fresh = run("fresh", True)
+    assert run("reused", False) == fresh
+    # Only the usage error writes no report.
+    assert [r is None for r in fresh] == [code == 2 for _, code in calls]
+    capsys.readouterr()
+
+
+def test_numerical_failure_has_its_own_exit_code(capsys):
+    nan_model = '{"name": "radial_bump", "params": {"m": NaN}}'
+    assert main(["charges", "--model", nan_model, *SMALL, "--quiet"]) == 4
+    assert "numerical failure: non-finite value at node" in capsys.readouterr().err
+
+
+def test_identity_on_diverging_data_exits_3(tmp_path, capsys):
+    # sigma = 2.5 < 3: the surface values grow like exp(r / 2).
+    model = '{"name": "radial_bump", "params": {"m": 0.1, "sigma": 2.5}}'
+    out = tmp_path / "identity.json"
+    assert main(["identity", "--model", model, "--lambda=1,0,0,0,0,0,0,0",
+                 *SMALL, "--out", str(out), "--quiet"]) == 3
+    data = json.loads(out.read_text())
+    assert data["diverged"] is True and math.isnan(data["gap"])
     capsys.readouterr()

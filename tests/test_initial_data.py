@@ -1,11 +1,12 @@
 """Tests for the data models, aspect fields, decay checks and file format."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from adspet.geometry import ModelConstants, SlicePoint
+from adspet.geometry import ModelConstants, SlicePoint, sphere_grid
 from adspet.initial_data import (
     ANGULAR_PROFILES,
     AdsExactModel,
@@ -322,3 +323,58 @@ def test_mass_aspect_frozen_on_angle_dependent_data():
     }
     for point, e1 in frozen.items():
         assert mass_aspect_grid(model, *point) == pytest.approx(e1, rel=1e-12)
+
+
+# Field shapes S of a and h on the 32^3 sphere grid: length 1 along every
+# angle the bundled model does not depend on.
+OWN_SHAPES = [
+    (AdsExactModel(K1), (1, 1, 1), (1, 1, 1)),
+    (RadialBumpModel(m=0.1, constants=K1), (1, 1, 1), (1, 1, 1)),
+    (OffdiagMomentumModel(0.1, 2, "one", constants=K1), (1, 1, 1), (1, 1, 1)),
+    (OffdiagMomentumModel(0.1, 2, "sin_theta", constants=K1), (1, 1, 1), (32, 1, 1)),
+    (OffdiagMomentumModel(0.1, 4, "cos_psi", constants=K1), (1, 1, 1), (1, 32, 1)),
+    (OffdiagMomentumModel(0.1, 3, "sin_phi", constants=K1), (1, 1, 1), (1, 1, 32)),
+]
+
+
+@pytest.mark.parametrize("model,shape_a,shape_h", OWN_SHAPES,
+                         ids=[m.config()["params"].get("profile", m.name)
+                              for m, _, _ in OWN_SHAPES])
+def test_analytic_fields_keep_their_own_angular_shape(model, shape_a, shape_h):
+    g = sphere_grid(32, 32, 32)
+    angles = (g.theta, g.psi, g.phi)
+    a, h, da = (f(5.0, *angles) for f in (model.a, model.h, model.da_coord))
+    assert a.shape == shape_a + (4, 4)
+    assert h.shape == shape_h + (4, 4)
+    assert da.shape == (4,) + shape_a + (4, 4)
+    # The same values as with the angles spread to every node.
+    full = np.broadcast_arrays(*angles)
+    for own, f in ((a, model.a), (h, model.h)):
+        assert np.array_equal(np.broadcast_to(own, g.shape + (4, 4)),
+                              np.broadcast_to(f(5.0, *full), g.shape + (4, 4)))
+
+
+def test_radial_bump_mass_aspect_has_no_phi_axis():
+    g = sphere_grid(32, 32, 32)
+    e1 = mass_aspect_grid(RadialBumpModel(m=0.1, constants=K1), 5.0,
+                          g.theta, g.psi, g.phi)
+    assert e1.size <= 32 * 32
+    assert np.all(e1 == pytest.approx(bump_e1(0.1, 4.0, 1.0, 5.0), rel=1e-12))
+
+
+# sha256 of write_grid_file output at radii 4, 5, 6 on a 4 x 4 x 6 grid,
+# taken from the code that evaluated every field at every node.
+FROZEN_GRID_FILES = {
+    '{"name": "radial_bump", "params": {"m": 0.3}}':
+        "e7b99162302fb1fb29602f2f33c1f03b0ccc3d6922bd6920886a02f871ccf9dc",
+    '{"name": "offdiag_momentum", "params": {"q": 0.2, "axis": 2, "profile": "sin_phi"}}':
+        "7cf54a584fa6add816976e0f8463b19658a4848adbf86176a14b328003230382",
+}
+
+
+@pytest.mark.parametrize("config", sorted(FROZEN_GRID_FILES))
+def test_write_grid_file_bytes_frozen(tmp_path, config):
+    path = tmp_path / "model.aads"
+    write_grid_file(path, model_from_config(config), [4.0, 5.0, 6.0], 4, 4, 6)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == FROZEN_GRID_FILES[config]

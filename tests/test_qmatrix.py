@@ -422,3 +422,16 @@ def test_boundary_identity_evaluates_each_surface_once():
         rep = boundary_identity(model, KillingParams(1.0, 0.5j, 0.0, -0.3), Q_STD, mode)
         assert rep.gap < 1e-8
         assert CountingBump.calls == 2 * len(Q_STD.radii)
+
+
+def test_identity_gap_keeps_its_scale_at_tiny_amplitudes():
+    # lhs and rhs are linear in the amplitude, so the gap of one lambda is
+    # the same at every amplitude; no absolute floor may shrink it.
+    lam = KillingParams(1.0, 0.5j, -0.3, 0.0)
+    quad = QuadratureSpec(8, 8, 8, (4.0, 5.0, 6.0, 7.0))
+    for mode in ("leading", "exact"):
+        gaps = [boundary_identity(OffdiagMomentumModel(q, 2, "sin_theta", constants=K1),
+                                  lam, quad, mode).gap
+                for q in (1e-5, 1e-15, 1e-25, 1e-35)]
+        assert 0 < min(gaps) and max(gaps) < 1e-5, gaps
+        assert max(gaps) <= 1.01 * min(gaps), (mode, gaps)
