@@ -64,7 +64,7 @@ CHARGE_NAMES = (
 
 @dataclass(frozen=True)
 class ChargeDiagnostics:
-    residual: float
+    residual: float | None
     diverged: bool
     quadrature_converged: bool
     beta: float | None = None
@@ -271,7 +271,7 @@ def charges_and_surfaces(model: InitialDataModel, q: QuadratureSpec):
                 quadrature_converged=bool(quad_ok[idx]))
             continue
         rl: RadialLimit = radial_limit(list(zip(q.radii, fine[:, idx])),
-                                       model.constants, q.rel_tol)
+                                       model.constants)
         values[idx] = rl.limit
         diags[name] = ChargeDiagnostics(
             residual=rl.residual, diverged=rl.diverged,

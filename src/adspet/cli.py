@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (bad arguments or model config), 3 divergence detected, 4 internal
-numerical failure (non-finite surface data or a non-Hermitian Q).
+numerical failure (non-finite surface data, or a Q that is not finite or
+not Hermitian).
 """
 
 from __future__ import annotations
@@ -317,14 +318,17 @@ def _cmd_bound(args):
     q = _quadrature(args)
     cs = compute_charges(model, q)
     rep = _charges_report(cs, args, q)
-    rep.update(_qreport(cs, args.variant))
     _say(args, f"E0 = {cs.e0:.6e}")
+    if cs.any_diverged:
+        # A diverged charge is NaN, so Q and the bounds are undefined.
+        _say(args, "verdict: diverged")
+        _emit(rep, args)
+        return EXIT_DIVERGED
+    rep.update(_qreport(cs, args.variant))
     b = rep["bounds"]
     _say(args, "bounds:", " ".join(f"B{i}={b[f'b{i}']:.6e}" for i in range(1, 6)))
     _say(args, "verdict: " + ("pass" if rep["verdict"] else "FAIL"))
     _emit(rep, args)
-    if cs.any_diverged:
-        return EXIT_DIVERGED
     return EXIT_OK if rep["verdict"] else EXIT_FAILED
 
 

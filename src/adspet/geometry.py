@@ -5,7 +5,9 @@ sin^2 psi dphi^2)) with f(r) = sinh(kappa r)/kappa; the ambient static
 metric adds -cosh^2(kappa r) dt^2.  Surface integrals over the geodesic
 spheres S_r use a Gauss-Legendre product rule in (theta, psi) and a uniform
 periodic rule in phi.  Radial limits are taken by a three-point
-exponential fit.
+exponential fit L + b exp(-beta kappa r), whose decay rate beta is found by
+bisection on a monotone function of beta; numpy and the standard library
+are the only dependencies.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "DegenerateCoordinateError",
@@ -40,7 +41,8 @@ class DegenerateCoordinateError(ValueError):
 
 class NumericalError(ValueError):
     """An internal numerical failure, not a fault in the caller's input:
-    non-finite surface data, or a charge matrix that is not Hermitian."""
+    non-finite surface data, or a charge matrix that is not finite or not
+    Hermitian."""
 
 
 @dataclass(frozen=True)
@@ -206,14 +208,24 @@ def sphere_grid(ntheta: int, npsi: int, nphi: int) -> SphereGrid:
 
 @dataclass(frozen=True)
 class RadialLimit:
+    """The extrapolated limit.  residual is |limit - previous limit| between
+    the last two overlapping triples, at least |v_n - v_(n-1)| when the last
+    triple is not fitted, and None when three radii leave a fitted limit
+    unassessed."""
+
     limit: float
-    residual: float
+    residual: float | None
     diverged: bool
     beta: float | None = None
 
 
 def _fit_triple(rs, vs, kappa):
-    """Fit v = L + b exp(-beta kappa r) through three points."""
+    """Fit v = L + b exp(-beta kappa r) through three points.
+
+    Returns (limit, residual, beta): the fitted limit with residual None, or
+    v3 with residual |v3 - v2| and beta None when no decaying exponential
+    passes through the points.
+    """
     r1, r2, r3 = rs
     v1, v2, v3 = vs
     d1 = v2 - v1
@@ -226,28 +238,31 @@ def _fit_triple(rs, vs, kappa):
         # Not a monotone decaying exponential; take the last value.
         return float(v3), abs(d2), None
 
+    h2, h3 = kappa * (r2 - r1), kappa * (r3 - r1)
+
     def g(beta):
-        x1 = math.exp(-beta * kappa * (r1 - r1))
-        x2 = math.exp(-beta * kappa * (r2 - r1))
-        x3 = math.exp(-beta * kappa * (r3 - r1))
-        return (x3 - x2) / (x2 - x1) - ratio
+        x2 = math.exp(-beta * h2)
+        return (math.exp(-beta * h3) - x2) / (x2 - 1.0) - ratio
 
+    # g decreases in beta; bisect its sign change on [lo, hi].
     lo, hi = 1e-8, 60.0
-    if g(lo) * g(hi) > 0:
+    g_lo = g(lo)
+    if g_lo * g(hi) > 0:
         return float(v3), abs(d2), None
-    beta = brentq(g, lo, hi, xtol=1e-14, rtol=1e-14)
-    x2 = math.exp(-beta * kappa * (r2 - r1))
-    x3 = math.exp(-beta * kappa * (r3 - r1))
+    beta = 0.5 * (lo + hi)
+    while hi - lo > 1e-14 + 1e-14 * beta:
+        if g(beta) * g_lo > 0:
+            lo = beta
+        else:
+            hi = beta
+        beta = 0.5 * (lo + hi)
+    x2 = math.exp(-beta * h2)
+    x3 = math.exp(-beta * h3)
     b = d2 / (x3 - x2)
-    limit = v3 - b * x3
-    return float(limit), abs(b * x3) * 1e-6, beta
+    return float(v3 - b * x3), None, beta
 
 
-def radial_limit(
-    values: Sequence,
-    k: ModelConstants,
-    rel_tol: float = 1e-8,
-) -> RadialLimit:
+def radial_limit(values: Sequence, k: ModelConstants) -> RadialLimit:
     """Extrapolate (r_k, v_k) to r -> infinity by an exponential fit.
 
     Declares divergence when |v_k| grows monotonically by a factor > 1.5
@@ -263,6 +278,6 @@ def radial_limit(
         return RadialLimit(limit=math.nan, residual=math.inf, diverged=True)
     limit, resid, beta = _fit_triple(rs[-3:], vs[-3:], k.kappa)
     if len(pairs) >= 4:
-        prev, _, _ = _fit_triple(rs[-4:-1], vs[-4:-1], k.kappa)
-        resid = max(resid, abs(limit - prev))
+        prev = _fit_triple(rs[-4:-1], vs[-4:-1], k.kappa)[0]
+        resid = max(resid or 0.0, abs(limit - prev))
     return RadialLimit(limit=limit, residual=resid, diverged=False, beta=beta)

@@ -102,6 +102,8 @@ def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
     qmat = np.asarray(qmat, dtype=complex)
     if qmat.shape[-2:] != (4, 4):
         raise ValueError(f"Q must be 4x4, got shape {qmat.shape}")
+    if not np.isfinite(qmat).all():
+        raise NumericalError("psd_check requires a finite matrix")
     skew = np.abs(qmat - np.conj(np.swapaxes(qmat, -1, -2))).max(axis=(-2, -1))
     if np.any(skew > 1e-12 * np.abs(qmat).max(axis=(-2, -1))):
         raise NumericalError("psd_check requires a Hermitian matrix")
@@ -359,7 +361,7 @@ def boundary_identity(
     cs, surfaces = charges_and_surfaces(model, q)
     vals = [_identity_surface_value(s, lam, mode) for s in surfaces]
     re_limit = radial_limit(list(zip(q.radii, [v.real for v in vals])),
-                            model.constants, q.rel_tol)
+                            model.constants)
     lhs = re_limit.limit
     lhs_imag = max(abs(v.imag) for v in vals)
 

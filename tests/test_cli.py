@@ -245,3 +245,24 @@ def test_identity_on_diverging_data_exits_3(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["diverged"] is True and math.isnan(data["gap"])
     capsys.readouterr()
+
+
+def test_bound_on_diverging_data_exits_3(tmp_path, capsys):
+    model = '{"name": "radial_bump", "params": {"m": 0.1, "sigma": 2.5}}'
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--model", model, *SMALL, "--out", str(out),
+                 "--quiet"]) == 3
+    data = json.loads(out.read_text())
+    assert data["charges"]["diagnostics"]["e0"]["diverged"] is True
+    assert math.isnan(data["charges"]["e0"]) and "bounds" not in data
+    capsys.readouterr()
+
+
+def test_qmatrix_on_a_nan_charge_is_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "charges.json"
+    path.write_text(json.dumps({"charges": {
+        "e0": math.nan, "c": [0.0] * 4, "cp": [0.0] * 4,
+        "j": {key: 0.0 for key in ("12", "13", "14", "23", "24", "34")}}}))
+    assert main(["qmatrix", "--charges", str(path), "--quiet"]) == 4
+    assert "numerical failure: psd_check requires a finite matrix" in (
+        capsys.readouterr().err)

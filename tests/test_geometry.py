@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from adspet.charges import CHARGE_NAMES, compute_charges
 from adspet.geometry import (
     DegenerateCoordinateError,
     ModelConstants,
@@ -15,6 +16,7 @@ from adspet.geometry import (
     sphere_grid,
     spin_connection_grid,
 )
+from adspet.initial_data import OffdiagMomentumModel, RadialBumpModel
 
 K1 = ModelConstants(1.0)
 
@@ -206,3 +208,77 @@ def test_radial_limit_flags_divergence():
 def test_radial_limit_requires_three_points():
     with pytest.raises(ValueError):
         radial_limit([(4.0, 1.0), (5.0, 2.0)], K1)
+
+
+def test_radial_limit_recovers_exponential_on_unequal_radii():
+    k = ModelConstants(1.3)
+    vals = [(r, 0.5 - 3.0 * math.exp(-1.5 * k.kappa * r))
+            for r in (2.0, 3.5, 4.0, 6.5)]
+    rl = radial_limit(vals, k)
+    assert rl.limit == pytest.approx(0.5, rel=1e-12)
+    assert rl.beta == pytest.approx(1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa,r0,h", [(1.0, 4.0, 1.0), (0.7, 2.0, 0.5),
+                                        (2.0, 3.0, 1.7)])
+def test_radial_limit_matches_aitken_on_equal_radii(kappa, r0, h):
+    # Through three equally spaced points the fit is Aitken's delta-squared
+    # process, in closed form.
+    k = ModelConstants(kappa)
+    rs = [r0, r0 + h, r0 + 2 * h]
+    vs = [0.4 + 1.3 * math.exp(-kappa * r) - 0.6 * math.exp(-2.5 * kappa * r)
+          for r in rs]
+    d1, d2 = vs[1] - vs[0], vs[2] - vs[1]
+    rl = radial_limit(list(zip(rs, vs)), k)
+    assert rl.beta == pytest.approx(-math.log(d2 / d1) / (kappa * h), rel=1e-12)
+    assert rl.limit == pytest.approx(vs[2] - d2**2 / (d2 - d1), rel=1e-12)
+
+
+@pytest.mark.parametrize("vals", [
+    # ratio d2/d1 = 2 >= 1: not a decaying exponential.
+    [(4.0, 1.0), (5.0, 1.1), (6.0, 1.3)],
+    # ratio 1e-3 < exp(-60 kappa h): no beta in the bracket fits.
+    [(4.0, 1.0), (4.1, 2.0), (4.2, 2.001)],
+])
+def test_radial_limit_falls_back_to_last_value(vals):
+    rl = radial_limit(vals, K1)
+    assert rl.limit == vals[-1][1]
+    assert rl.beta is None and not rl.diverged
+    assert rl.residual == abs(vals[-1][1] - vals[-2][1])
+
+
+def test_radial_limit_residual_is_the_change_between_triples():
+    rs = [4.0, 5.0, 6.0, 7.0]
+    vals = [(r, 0.5 + 0.3 * math.exp(-2 * r) + 0.2 * math.exp(-3 * r))
+            for r in rs]
+    # Three radii give one fit and nothing to assess it against.
+    assert radial_limit(vals[1:], K1).residual is None
+    first, last = radial_limit(vals[:3], K1), radial_limit(vals[1:], K1)
+    rl = radial_limit(vals, K1)
+    assert rl.limit == last.limit and rl.beta == last.beta
+    assert rl.residual == abs(last.limit - first.limit) > 0
+
+
+# Charges at 8^3 nodes, frozen from the code that found beta with scipy's
+# brentq (xtol = rtol = 1e-14).
+FROZEN_LIMITS = [
+    ((4.0, 5.0, 6.0, 7.0), "bump", "e0", 0.03681553890929258),
+    ((4.0, 5.0, 6.0, 7.0), "offdiag", "cp4", -0.0018407769454627763),
+    ((2.0, 3.5, 4.0, 6.5), "bump", "e0", 0.03681553891565496),
+    ((2.0, 3.5, 4.0, 6.5), "offdiag", "cp4", -0.0018407769454925676),
+    ((3.0, 4.5, 5.0, 6.0), "bump", "e0", 0.03681553891028635),
+    ((3.0, 4.5, 5.0, 6.0), "offdiag", "cp4", -0.0018407769454635706),
+]
+
+
+@pytest.mark.parametrize("radii,kind,name,frozen", FROZEN_LIMITS)
+def test_radial_limit_matches_frozen_charges(radii, kind, name, frozen):
+    model = {
+        "bump": RadialBumpModel(m=0.1, constants=K1),
+        "offdiag": OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta",
+                                        constants=K1),
+    }[kind]
+    got = dict(zip(CHARGE_NAMES,
+                   compute_charges(model, QuadratureSpec(8, 8, 8, radii)).values()))
+    assert got.pop(name) == pytest.approx(frozen, rel=1e-12)
+    assert all(v == 0.0 for v in got.values())
