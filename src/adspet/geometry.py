@@ -234,7 +234,8 @@ def _fit_triple(rs, vs, kappa):
     if abs(d1) < 1e-14 * scale or abs(d2) < 1e-14 * scale:
         return float(v3), abs(d2), None
     ratio = d2 / d1
-    if not 0 < ratio < 1:
+    # d2/d1 falls from (r3 - r2)/(r2 - r1) at beta -> 0 to 0 at beta -> oo.
+    if not 0 < ratio < (r3 - r2) / (r2 - r1):
         # Not a monotone decaying exponential; take the last value.
         return float(v3), abs(d2), None
 

@@ -263,19 +263,98 @@ def rigidity_check(cs: ChargeSet, rel_tol: float = 1e-10) -> RigidityReport:
     )
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's multiply-xorshift step on uint32 arrays; the constant
+    advances by one multiplication per call."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return step
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 pool words."""
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _seed_states(seed: int, n: int) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for every i < n.
+
+    numpy's SeedSequence hash, run once over uint32 columns with one entry
+    per sample: the entropy is seed's little-endian 32-bit words, then i.
+    Returns shape (n, 4), uint64.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if n > 2**32:
+        raise ValueError("n must be <= 2**32")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([out_hash(pool[k % _POOL]) for k in range(2 * _POOL)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def sample_momenta(seed: int, n: int):
     """Vectorized PSD charge sampler.
 
     Returns (e0, c, cp, j, delta) arrays with shapes (n,), (n,4), (n,4),
     (n,6).  The 14 momenta are standard normal; the energy is set to
     -lambda_min of the momentum-only matrix plus delta, where delta = 0 on
-    even samples (exact PSD boundary) and |normal| on odd ones.  Sampling
-    is counter-based, so any prefix of a seeded stream is reproducible.
+    even samples (exact PSD boundary) and |normal| on odd ones.
+
+    Sample i is np.random.default_rng([seed, i]).standard_normal(15), so
+    any prefix of a seeded stream is reproducible.  The seed words of all
+    n streams are hashed in one vectorised pass (_seed_states); PCG64 then
+    seeds itself from each row.  numpy.random is imported here, not at
+    module level: loading it costs tens of milliseconds and several MB of
+    memory on every command, and only this sampler needs it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    draw = np.stack([np.random.default_rng([int(seed), i]).standard_normal(15)
-                     for i in range(n)])
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        """Hands PCG64 one precomputed generate_state(4, np.uint64) row."""
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    states = _seed_states(int(seed), n)
+    draw = np.empty((n, 15))
+    row_seed = RowSeed()
+    for i in range(n):
+        row_seed.row = states[i]
+        Generator(PCG64(row_seed)).standard_normal(out=draw[i])
     c, cp, j = draw[:, 0:4], draw[:, 4:8], draw[:, 8:14]
     delta = np.where(np.arange(n) % 2 == 0, 0.0, np.abs(draw[:, 14]))
     q0 = assemble_q(ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j))

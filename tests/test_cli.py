@@ -140,6 +140,11 @@ def test_sample_psd_matches_frozen_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sample_psd_negative_seed_is_usage_error(capsys):
+    assert main(["sample-psd", "--seed", "-1", "--n", "5", "--quiet"]) == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
 def test_decay_command(capsys):
     assert main(["decay", "--model", BUMP, "--quiet"]) == 0
     capsys.readouterr()

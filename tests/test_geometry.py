@@ -219,6 +219,17 @@ def test_radial_limit_recovers_exponential_on_unequal_radii():
     assert rl.beta == pytest.approx(1.5, rel=1e-12)
 
 
+def test_radial_limit_extrapolates_slow_decay_on_a_wider_last_gap():
+    # On radii 3.5, 4, 6.5 a slow decay has d2/d1 > 1, inside the fit's
+    # range 0 < d2/d1 < (r3 - r2)/(r2 - r1) = 5.
+    k = ModelConstants(1.3)
+    vals = [(r, 5.0 - 3.0 * math.exp(-0.8 * k.kappa * r))
+            for r in (2.0, 3.5, 4.0, 6.5)]
+    rl = radial_limit(vals, k)
+    assert abs(rl.limit - 5.0) <= 1e-12
+    assert rl.beta == pytest.approx(0.8, rel=1e-12)
+
+
 @pytest.mark.parametrize("kappa,r0,h", [(1.0, 4.0, 1.0), (0.7, 2.0, 0.5),
                                         (2.0, 3.0, 1.7)])
 def test_radial_limit_matches_aitken_on_equal_radii(kappa, r0, h):

@@ -10,6 +10,7 @@ from adspet.charges import ChargeSet, derived
 from adspet.geometry import ModelConstants, QuadratureSpec
 from adspet.initial_data import OffdiagMomentumModel, RadialBumpModel
 from adspet.qmatrix import (
+    _seed_states,
     assemble_q,
     boundary_identity,
     det_closed_form,
@@ -241,6 +242,42 @@ def test_sampler_boundary_cases_touch_zero():
 def test_sampler_validation():
     with pytest.raises(ValueError):
         sample_momenta(0, 0)
+    # The sample index must fit one 32-bit entropy word; raised before any
+    # allocation.
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        sample_momenta(0, 2**32 + 1)
+
+
+def test_sampler_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_momenta(-1, 5)
+
+
+# Seeds whose entropy (seed words, then i) is 1 to 6 uint32 words long, so the
+# hash runs with a padded pool, a full pool and the extra mixing loop.
+SEEDS = [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 5, 2**100 + 3, 2**130]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_states_match_seed_sequence(seed):
+    n = 2**16 + 3
+    states = _seed_states(seed, n)
+    assert states.shape == (n, 4) and states.dtype == np.uint64
+    for i in (0, 1, 2**16, n - 1):
+        want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+        assert np.array_equal(states[i], want), i
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampler_draws_are_the_per_sample_streams(seed):
+    n = 40
+    draw = np.stack([np.random.default_rng([seed, i]).standard_normal(15)
+                     for i in range(n)])
+    e0, c, cp, j, delta = sample_momenta(seed, n)
+    assert np.array_equal(c, draw[:, 0:4])
+    assert np.array_equal(cp, draw[:, 4:8])
+    assert np.array_equal(j, draw[:, 8:14])
+    assert np.array_equal(delta[1::2], np.abs(draw[1::2, 14]))
 
 
 def test_rigidity_trivial_and_boundary():
