@@ -5,8 +5,13 @@ four c'_i from the momentum aspect against the (i,0) fields, and six
 angular momenta J_ij from the rotational fields.  Each one is a weighted
 surface integral evaluated on the radii schedule and extrapolated.  The
 surface data are evaluated once per radius and grid (SurfaceData), on the
-base and the doubled grid, and reduced against Killing tables built once
-per grid; the boundary identity reads the same pass.
+base and the doubled grid; the boundary identity reads the same pass.
+
+The Killing tables are built once per grid.  Data that keep their own
+angular shape S are contracted at S, against the tables summed over every
+angle along which S has length 1, so no field is spread to the full grid.
+The same reduction of |table| gives each charge's absolute integral, the
+scale on which a column is judged to be quadrature roundoff.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .killing import killing_frame_table, killing_radial_scale
 
 __all__ = [
     "J_ORDER",
+    "ZERO_REL",
     "ChargeDiagnostics",
     "ChargeSet",
     "DerivedCharges",
@@ -138,17 +144,40 @@ _JHAT_SIGN = np.array([1.0, -1.0, 1.0])
 _J4 = [J_ORDER.index(p) for p in ((1, 4), (2, 4), (3, 4))]
 
 
+# Three-vector algebra of the derived charges, written per component: for a
+# single set (B = ()) that costs a few microseconds, where np.cross and
+# np.sum take tens, and it rounds exactly as they do.
+def _parts(v):
+    """The three components of a B+(3,) array, each of shape B.  For B = ()
+    `[()]` makes each a numpy scalar, whose arithmetic costs a fraction of a
+    0-d array's."""
+    return v[..., 0][()], v[..., 1][()], v[..., 2][()]
+
+
+def _dot(a, b):
+    """a . b of two component triples, summed left to right as np.sum sums a
+    last axis of length 3."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """a x b of two component triples, in np.cross's order of operations."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def derived(cs: ChargeSet) -> DerivedCharges:
     """Derived scalars entering the energy bounds."""
     jhat = cs.j[..., _JHAT] * _JHAT_SIGN
     j4 = cs.j[..., _J4]
     c3 = cs.c[..., :3]
     cp3 = cs.cp[..., :3]
-    c3_sq, cp3_sq, jhat_sq, j4_sq = (np.sum(v * v, axis=-1)
-                                     for v in (c3, cp3, jhat, j4))
-    cp4_sq = cs.cp[..., 3] ** 2
+    c3_sq, cp3_sq, jhat_sq, j4_sq = (_dot(v, v) for v in map(
+        _parts, (c3, cp3, jhat, j4)))
+    cp4_sq = cs.cp[..., 3][()] ** 2
     l_squared = 2.0 * (c3_sq + jhat_sq + cp4_sq)
-    a_total = cs.c[..., 3] ** 2 + cp4_sq + c3_sq + cp3_sq + jhat_sq + j4_sq
+    a_total = cs.c[..., 3][()] ** 2 + cp4_sq + c3_sq + cp3_sq + jhat_sq + j4_sq
     return DerivedCharges(jhat=jhat, j4=j4, c3=c3, cp3=cp3,
                           l_squared=l_squared, a_total=a_total)
 
@@ -161,8 +190,9 @@ _P_LABELS = ((1, 0), (2, 0), (3, 0), (4, 0)) + J_ORDER
 _PREFACTOR = np.array([1.0 / (16 * math.pi)] * len(_E_LABELS)
                       + [1.0 / (8 * math.pi)] * len(_P_LABELS))
 # A column the data do not source holds quadrature roundoff only, about
-# 1e-16 of the largest surface value; one below this fraction is zero.
-_ZERO_REL = 1e-12
+# 1e-16 of its own absolute integral (the integral of |T data|); one below
+# this fraction of it is zero.
+ZERO_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,8 +201,8 @@ class _ChargeTables:
     the frame components, so each radius reduces with one contraction."""
 
     grid: SphereGrid
-    e: np.ndarray        # (5, N): against e_1
-    p: np.ndarray        # (10, 3N): against P_{21}, P_{31}, P_{41} in turn
+    e: np.ndarray        # (5,) + grid shape: against e_1
+    p: np.ndarray        # (10, 3) + grid shape: against P_{21}, P_{31}, P_{41}
 
 
 @functools.lru_cache(maxsize=2)
@@ -181,12 +211,51 @@ def _charge_tables(ntheta: int, npsi: int, nphi: int,
     grid = sphere_grid(ntheta, npsi, nphi)
     angles = (grid.theta, grid.psi, grid.phi)
     e = np.stack([killing_frame_table(label, *angles, k)[0] * grid.weights
-                  for label in _E_LABELS]).reshape(len(_E_LABELS), -1)
+                  for label in _E_LABELS])
     p = np.stack([killing_frame_table(label, *angles, k)[1:] * grid.weights
-                  for label in _P_LABELS]).reshape(len(_P_LABELS), -1)
+                  for label in _P_LABELS])
     e.setflags(write=False)
     p.setflags(write=False)
     return _ChargeTables(grid=grid, e=e, p=p)
+
+
+# The grid axes along which data of a given shape are constant: at most 8
+# patterns per table and grid, for the base and the doubled grid.
+@functools.lru_cache(maxsize=32)
+def _reduced_table(ntheta: int, npsi: int, nphi: int, k: ModelConstants,
+                   part: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The Killing table `part` ("e" or "p") summed over every grid axis
+    along which data of the given shape have length 1, and |table| summed
+    the same way, each flattened to (charges, data size).
+
+    Contracting data of that shape against the first gives the charge
+    integrals, and |data| against the second their absolute integrals.
+    """
+    table = getattr(_charge_tables(ntheta, npsi, nphi, k), part)
+    axes = tuple(i - 3 for i, n in enumerate(shape) if n == 1)
+    # One Killing field at a time, so no temporary is as large as the table.
+    out = tuple(np.stack([np.sum(f(row), axis=axes, keepdims=True)
+                          for row in table]).reshape(len(table), -1)
+                for f in (np.asarray, np.abs))
+    for t in out:
+        t.setflags(write=False)
+    return out
+
+
+def _surface_integrals(ntheta: int, npsi: int, nphi: int, k: ModelConstants,
+                       e1: np.ndarray, p1: np.ndarray):
+    """Weighted Killing-table integrals of e_1 (shape S_e) and P_{k1}
+    (shape (4,) + S_p), contracted at the data's own shapes.
+
+    Returns (integrals, absolute integrals), each of the fifteen columns in
+    CHARGE_NAMES order, without radial factors.
+    """
+    te, abs_te = _reduced_table(ntheta, npsi, nphi, k, "e", e1.shape)
+    tp, abs_tp = _reduced_table(ntheta, npsi, nphi, k, "p", p1.shape[1:])
+    e1 = e1.ravel()
+    p1 = p1[1:].reshape(-1)
+    return (np.concatenate([te @ e1, tp @ p1]),
+            np.concatenate([abs_te @ np.abs(e1), abs_tp @ np.abs(p1)]))
 
 
 @dataclass(frozen=True)
@@ -207,6 +276,7 @@ class SurfaceData:
     e1: np.ndarray       # radial mass aspect, shape S
     p1: np.ndarray       # P_{k1} for k = 1..4, shape (4,) + S
     values: np.ndarray   # the fifteen pre-limit surface integrals
+    scales: np.ndarray   # their absolute integrals, of |Killing field x data|
 
     def integrate(self, values):
         """Integral over S_r of a field given at the grid nodes."""
@@ -218,11 +288,11 @@ def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
     """Evaluate the surface data of a model at radius r on the given grid.
 
     Its `values` are all fifteen pre-limit surface integrals, in
-    CHARGE_NAMES order, including the kappa/16pi and kappa/8pi prefactors.
+    CHARGE_NAMES order, including the kappa/16pi and kappa/8pi prefactors;
+    its `scales` are the same integrals of the absolute integrand.
     """
     k = model.constants
-    tables = _charge_tables(ntheta, npsi, nphi, k)
-    grid = tables.grid
+    grid = _charge_tables(ntheta, npsi, nphi, k).grid
     angles = (grid.theta, grid.psi, grid.phi)
     e1 = mass_aspect_grid(model, r, *angles)
     p1 = np.moveaxis(momentum_aspect_grid(model, r, *angles)[..., :, 0], -1, 0)
@@ -232,13 +302,10 @@ def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
     radial = np.array([killing_radial_scale(label, r, k)
                        for label in _E_LABELS + _P_LABELS])
     radial *= _PREFACTOR * k.kappa * (math.sinh(kr) / k.kappa) ** 3
-    # The tables run over every node, so the data are spread to the grid here.
-    values = radial * np.concatenate([
-        tables.e @ np.broadcast_to(e1, grid.shape).ravel(),
-        tables.p @ np.broadcast_to(p1[1:], (3,) + grid.shape).ravel()])
+    values, scales = _surface_integrals(ntheta, npsi, nphi, k, e1, p1)
     a = model.a(r, *angles)
     return SurfaceData(r=float(r), grid=grid, constants=k, a=a, e1=e1, p1=p1,
-                       values=values)
+                       values=radial * values, scales=radial * scales)
 
 
 def charges_and_surfaces(model: InitialDataModel, q: QuadratureSpec):
@@ -249,16 +316,15 @@ def charges_and_surfaces(model: InitialDataModel, q: QuadratureSpec):
     """
     base = tuple(charge_surface_values(model, r, q.ntheta, q.npsi, q.nphi)
                  for r in q.radii)
-    fine = np.array(
-        [
-            charge_surface_values(model, r, 2 * q.ntheta, 2 * q.npsi,
-                                  2 * q.nphi).values
-            for r in q.radii
-        ]
-    )
+    fine = np.empty((len(q.radii), len(CHARGE_NAMES)))
+    col_scale = np.zeros(len(CHARGE_NAMES))
+    for i, r in enumerate(q.radii):
+        s = charge_surface_values(model, r, 2 * q.ntheta, 2 * q.npsi, 2 * q.nphi)
+        fine[i] = s.values
+        np.maximum(col_scale, s.scales, out=col_scale)
     coarse = np.array([s.values for s in base])
     col_max = np.max(np.abs(fine), axis=0)
-    negligible = col_max <= _ZERO_REL * np.max(col_max)
+    negligible = col_max <= ZERO_REL * col_scale
     quad_ok = negligible | (np.max(np.abs(fine - coarse), axis=0)
                             < q.rel_tol * col_max)
 

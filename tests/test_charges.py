@@ -9,16 +9,19 @@ from adspet.charges import (
     CHARGE_NAMES,
     J_ORDER,
     ChargeSet,
+    _reduced_table,
+    _surface_integrals,
     charge_surface_values,
     compute_charges,
     derived,
 )
-from adspet.geometry import ModelConstants, QuadratureSpec
+from adspet.geometry import ModelConstants, QuadratureSpec, sphere_grid
 from adspet.initial_data import (
     AdsExactModel,
     OffdiagMomentumModel,
     RadialBumpModel,
 )
+from adspet.killing import killing_frame_table
 
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
@@ -206,3 +209,70 @@ def test_nonfinite_surface_data_names_the_node():
 
     with pytest.raises(ValueError, match="non-finite value at node"):
         compute_charges(NanBump(m=0.1, constants=K1), Q_STD)
+
+
+def test_charges_of_vanishing_data_are_zero():
+    # Every charge of these models vanishes analytically.  Each column is
+    # judged against its own absolute integral, so roundoff is not reported
+    # as a charge, and none reaches the radial fit.
+    q = QuadratureSpec(8, 8, 8, (4.0, 5.0, 6.0, 7.0))
+    for axis, profile in ((3, "cos_psi"), (4, "cos_psi"), (2, "cos_theta"),
+                          (4, "cos_theta")):
+        model = OffdiagMomentumModel(q=0.3, axis=axis, profile=profile,
+                                     constants=K1)
+        cs = compute_charges(model, q)
+        assert list(cs.values()) == [0.0] * 15, (axis, profile)
+        assert not cs.any_diverged
+
+
+# The Killing field behind each column, in CHARGE_NAMES order: U^(0) against
+# e_1 for the first five, U^(2..4) against P_21, P_31, P_41 for the rest.
+E_FIELDS = ((5, 0), (1, 5), (2, 5), (3, 5), (4, 5))
+P_FIELDS = ((1, 0), (2, 0), (3, 0), (4, 0)) + J_ORDER
+GRID = (6, 8, 10)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (6, 8, 1), (1, 1, 10), (1, 8, 1),
+                                   (6, 8, 10)])
+def test_reduced_contraction_matches_the_broadcast_sum(shape):
+    # Data of shape S are contracted against tables summed over the axes
+    # where S has length 1; the oracle spreads them over every node.
+    grid = sphere_grid(*GRID)
+    angles = (grid.theta, grid.psi, grid.phi)
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    e1 = rng.standard_normal(shape)
+    p1 = rng.standard_normal((4,) + shape)
+    values, scales = _surface_integrals(*GRID, K1, e1, p1)
+
+    full_e = np.broadcast_to(e1, grid.shape)
+    full_p = np.broadcast_to(p1, (4,) + grid.shape)[1:]
+    expected, expected_abs = [], []
+    for field in E_FIELDS:
+        wt = grid.weights * killing_frame_table(field, *angles, K1)[0]
+        expected.append(np.sum(wt * full_e))
+        expected_abs.append(np.sum(np.abs(wt) * np.abs(full_e)))
+    for field in P_FIELDS:
+        wt = grid.weights * killing_frame_table(field, *angles, K1)[1:]
+        expected.append(np.sum(wt * full_p))
+        expected_abs.append(np.sum(np.abs(wt) * np.abs(full_p)))
+    expected, expected_abs = np.array(expected), np.array(expected_abs)
+
+    assert np.all(expected_abs > 0)
+    assert np.all(np.abs(values - expected) <= 1e-12 * expected_abs)
+    assert np.all(np.abs(scales - expected_abs) <= 1e-12 * expected_abs)
+
+
+def test_reduction_cache_stays_bounded():
+    # One reduced table per (grid, table, data shape): a second pass over the
+    # same models adds no entry, and the cache has a fixed size.
+    q = QuadratureSpec(8, 8, 8, (4.0, 5.0, 6.0, 7.0))
+    models = [RadialBumpModel(m=0.1, constants=K1), AdsExactModel(K1)]
+    models += [OffdiagMomentumModel(q=0.1, axis=2, profile=profile, constants=K1)
+               for profile in ("sin_theta", "sin_phi", "cos_psi")]
+    for model in models:
+        compute_charges(model, q)
+    info = _reduced_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for model in models:
+        compute_charges(model, q)
+    assert _reduced_table.cache_info().misses == info.misses

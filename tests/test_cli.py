@@ -271,3 +271,45 @@ def test_qmatrix_on_a_nan_charge_is_a_numerical_failure(tmp_path, capsys):
     assert main(["qmatrix", "--charges", str(path), "--quiet"]) == 4
     assert "numerical failure: psd_check requires a finite matrix" in (
         capsys.readouterr().err)
+
+
+# offdiag_momentum with profile cos_psi: every charge vanishes analytically
+# for axes 3 and 4.
+VANISHING = ('{"name":"offdiag_momentum",'
+             '"params":{"q":%s,"axis":%d,"profile":"cos_psi"}}')
+
+
+def _charge_values(charges):
+    return [charges["e0"], *charges["c"], *charges["cp"], *charges["j"].values()]
+
+
+def test_bound_on_vanishing_charges_passes(tmp_path, capsys):
+    # Its roundoff j24 (<= 5e-19) once reached the radial fit and came out
+    # NaN, so bound reported divergence (exit 3).
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--model", VANISHING % (0.3, 3), "--out", str(out),
+                 "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert _charge_values(data["charges"]) == [0.0] * 15
+    capsys.readouterr()
+
+
+def test_charges_of_vanishing_data_are_reported_as_zero(tmp_path, capsys):
+    out = tmp_path / "charges.json"
+    assert main(["charges", "--model", VANISHING % (0.3, 4), "--out", str(out),
+                 "--quiet"]) == 0
+    assert _charge_values(json.loads(out.read_text())["charges"]) == [0.0] * 15
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["leading", "exact"])
+def test_identity_on_vanishing_data_passes(tmp_path, capsys, mode):
+    # Roundoff charges once made the gap 0.78 (leading) and 0.75 (exact).
+    out = tmp_path / "identity.json"
+    code = main(["identity", "--model", VANISHING % (0.2, 4),
+                 "--lambda=0.3,-1.1,0.7,0.2,-0.5,0.9,1.3,-0.4", "--mode", mode,
+                 "--out", str(out), "--quiet"])
+    data = json.loads(out.read_text())
+    assert data["gap"] < 1e-5 and data["diverged"] is False
+    assert code == 0
+    capsys.readouterr()

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adspet.charges import ChargeSet, derived
-from adspet.geometry import ModelConstants, QuadratureSpec
+from adspet.charges import ChargeSet, SurfaceData, derived
+from adspet.clifford import gamma
+from adspet.geometry import ModelConstants, QuadratureSpec, sphere_grid
 from adspet.initial_data import OffdiagMomentumModel, RadialBumpModel
 from adspet.qmatrix import (
+    _closed_form_terms,
+    _identity_surface_value,
     _seed_states,
     assemble_q,
     boundary_identity,
@@ -20,7 +23,7 @@ from adspet.qmatrix import (
     theorem_bounds,
     third_minor_sum,
 )
-from adspet.spinors import KillingParams
+from adspet.spinors import KillingParams, killing_spinor_grid
 
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
@@ -472,3 +475,98 @@ def test_identity_gap_keeps_its_scale_at_tiny_amplitudes():
                 for q in (1e-5, 1e-15, 1e-25, 1e-35)]
         assert 0 < min(gaps) and max(gaps) < 1e-5, gaps
         assert max(gaps) <= 1.01 * min(gaps), (mode, gaps)
+
+
+def test_identity_of_vanishing_data_is_zero():
+    # Every charge of this model vanishes, and the surface integral stays at
+    # quadrature roundoff of its absolute integral at every radius: it is
+    # zero, as a negligible charge is, and its noise is not fitted.
+    model = OffdiagMomentumModel(q=0.2, axis=4, profile="cos_psi", constants=K1)
+    vals = [0.3, -1.1, 0.7, 0.2, -0.5, 0.9, 1.3, -0.4]
+    lam = KillingParams(*(complex(re, im) for re, im in zip(vals[::2], vals[1::2])))
+    for mode in ("leading", "exact"):
+        rep = boundary_identity(model, lam, Q_STD, mode)
+        assert (rep.lhs, rep.rhs, rep.gap, rep.diverged) == (0.0, 0.0, 0.0, False)
+
+
+# Grid node counts, and the data shapes (a, e_1, P_k1) of hand-built surface
+# data: constant, varying along some angles, and full.
+GRID = (6, 8, 10)
+SURFACE_SHAPES = [
+    ((1, 1, 1),) * 3,
+    ((6, 8, 1),) * 3,
+    ((1, 1, 10),) * 3,
+    ((6, 8, 10),) * 3,
+    ((1, 1, 1), (6, 8, 1), (1, 1, 10)),
+]
+
+
+@pytest.mark.parametrize("shapes", SURFACE_SHAPES)
+def test_exact_identity_matches_the_nine_bilinears(shapes):
+    # The exact-mode integrand as the sum of nine spinor bilinears
+    # <Phi, M Phi>, each evaluated at every node, against the one Hermitian
+    # form built at the data's own shape.
+    a_shape, e_shape, p_shape = shapes
+    rng = np.random.default_rng(sum(map(sum, shapes)))
+    a = 0.1 * rng.standard_normal(a_shape + (4, 4))
+    e1 = rng.standard_normal(e_shape)
+    p1 = rng.standard_normal((4,) + p_shape)
+    grid = sphere_grid(*GRID)
+    s = SurfaceData(r=5.0, grid=grid, constants=K1, a=a, e1=e1, p1=p1,
+                    values=np.zeros(15), scales=np.zeros(15))
+    lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    value, abs_value = _identity_surface_value(s, lam, "exact")
+
+    spinor = killing_spinor_grid(lam, 5.0, grid.theta, grid.psi, grid.phi, K1)
+    mats = ([np.eye(4)] + [gamma(k) for k in range(1, 5)]
+            + [gamma(0) @ gamma(k) for k in range(1, 5)])
+    bil = [np.einsum("a...,ab,b...->...", np.conj(spinor), m, spinor)
+           for m in mats]
+    tra = np.trace(a, axis1=-2, axis2=-1)
+    coeff = [K1.kappa * (a[..., k, 0] - ((k == 0) + a[..., k, 0]) * tra)
+             for k in range(4)]
+    integrand = (0.25 * (e1 + coeff[0]) * bil[0]
+                 + 0.25j * sum(c * b for c, b in zip(coeff, bil[1:5]))
+                 - 0.5 * sum(p * b for p, b in zip(p1, bil[5:])))
+    expected = s.integrate(integrand)
+    expected_abs = s.integrate(np.abs(integrand))
+
+    assert expected_abs > 0
+    assert abs(value - expected) <= 1e-12 * expected_abs
+    assert abs(abs_value - expected_abs) <= 1e-12 * expected_abs
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+def test_closed_forms_round_as_numpy_vector_ops(batch):
+    # The cross and dot products are written per component in the order of
+    # operations of np.cross and np.sum over a last axis of length 3, so the
+    # closed forms are bit-identical to the vectorised formulas below.
+    rng = np.random.default_rng(len(batch))
+    draw = (rng.standard_normal(batch + (15,))
+            * 10.0 ** rng.uniform(-3, 3, batch + (15,)))
+    cs = ChargeSet(e0=draw[..., 14], c=draw[..., :4], cp=draw[..., 4:8],
+                   j=draw[..., 8:14])
+    d = derived(cs)
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1)
+
+    c4, p4 = cs.c[..., 3], cs.cp[..., 3]
+    cxcp = np.cross(d.c3, d.cp3)
+    cxj = np.cross(d.c3, d.jhat)
+    cpxj = np.cross(d.cp3, d.jhat)
+    pair = c4[..., None] * d.cp3 - p4[..., None] * d.c3
+    t = p4 * dot(d.c3, d.j4) - c4 * dot(d.cp3, d.j4) + dot(cxcp, d.jhat)
+    s = (dot(cxcp, cxcp) + dot(cpxj, cpxj)
+         + dot(d.j4, d.c3) ** 2 + dot(d.j4, d.cp3) ** 2 + dot(d.j4, d.jhat) ** 2
+         + dot(d.j4, d.j4) * (c4**2 + p4**2)
+         + 2 * c4 * dot(cxj, d.j4) + 2 * p4 * dot(cpxj, d.j4))
+    w2 = dot(pair, pair) + dot(cxj, cxj)
+    c3_sq, cp3_sq, jhat_sq, j4_sq = (dot(v, v) for v in (d.c3, d.cp3, d.jhat, d.j4))
+    cp4_sq = cs.cp[..., 3] ** 2
+    l_squared = 2.0 * (c3_sq + jhat_sq + cp4_sq)
+    a_total = cs.c[..., 3] ** 2 + cp4_sq + c3_sq + cp3_sq + jhat_sq + j4_sq
+
+    for got, want in zip(_closed_form_terms(cs, d) + (d.l_squared, d.a_total),
+                         (t, s, w2, l_squared, a_total)):
+        assert np.shape(got) == batch and np.array_equal(got, want)
