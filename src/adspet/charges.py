@@ -24,6 +24,7 @@ import numpy as np
 
 from .geometry import (
     ModelConstants,
+    NumericalError,
     QuadratureSpec,
     RadialLimit,
     SphereGrid,
@@ -189,6 +190,10 @@ _E_LABELS = ((5, 0), (1, 5), (2, 5), (3, 5), (4, 5))
 _P_LABELS = ((1, 0), (2, 0), (3, 0), (4, 0)) + J_ORDER
 _PREFACTOR = np.array([1.0 / (16 * math.pi)] * len(_E_LABELS)
                       + [1.0 / (8 * math.pi)] * len(_P_LABELS))
+# The labels whose frame components scale with cosh(kappa r); the others
+# scale with sinh(kappa r).  At r = 0 the two are 1 and 0.
+_COSH = np.array([killing_radial_scale(label, 0.0, ModelConstants()) == 1.0
+                  for label in _E_LABELS + _P_LABELS])
 # A column the data do not source holds quadrature roundoff only, about
 # 1e-16 of its own absolute integral (the integral of |T data|); one below
 # this fraction of it is zero.
@@ -283,6 +288,25 @@ class SurfaceData:
         return self.grid.integrate(values, self.r, self.constants)
 
 
+def _radial_factors(r: float, k: ModelConstants) -> np.ndarray:
+    """The fifteen radial factors of the surface integrals at radius r: the
+    Killing fields' cosh or sinh(kappa r), the area factor f^3 and the
+    prefactors.
+
+    Raises NumericalError where one of them overflows a float; the aspects
+    are not evaluated past that radius.
+    """
+    kr = k.kappa * r
+    try:
+        with np.errstate(over="raise"):
+            return (np.where(_COSH, math.cosh(kr), math.sinh(kr))
+                    * (_PREFACTOR * k.kappa * (math.sinh(kr) / k.kappa) ** 3))
+    except (OverflowError, FloatingPointError):
+        raise NumericalError(
+            f"the radial factors of the surface integrals overflow at r = {r:g}"
+        ) from None
+
+
 def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
                           npsi: int, nphi: int) -> SurfaceData:
     """Evaluate the surface data of a model at radius r on the given grid.
@@ -292,16 +316,13 @@ def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
     its `scales` are the same integrals of the absolute integrand.
     """
     k = model.constants
+    radial = _radial_factors(r, k)
     grid = _charge_tables(ntheta, npsi, nphi, k).grid
     angles = (grid.theta, grid.psi, grid.phi)
     e1 = mass_aspect_grid(model, r, *angles)
     p1 = np.moveaxis(momentum_aspect_grid(model, r, *angles)[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)
-    kr = k.kappa * r
-    radial = np.array([killing_radial_scale(label, r, k)
-                       for label in _E_LABELS + _P_LABELS])
-    radial *= _PREFACTOR * k.kappa * (math.sinh(kr) / k.kappa) ** 3
     values, scales = _surface_integrals(ntheta, npsi, nphi, k, e1, p1)
     a = model.a(r, *angles)
     return SurfaceData(r=float(r), grid=grid, constants=k, a=a, e1=e1, p1=p1,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (bad arguments or model config), 3 divergence detected, 4 internal
-numerical failure (non-finite surface data, or a Q that is not finite or
-not Hermitian).
+numerical failure (non-finite surface data, radial factors that overflow
+at a large radius, or a Q that is not finite or not Hermitian).
 """
 
 from __future__ import annotations

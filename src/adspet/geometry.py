@@ -41,8 +41,8 @@ class DegenerateCoordinateError(ValueError):
 
 class NumericalError(ValueError):
     """An internal numerical failure, not a fault in the caller's input:
-    non-finite surface data, or a charge matrix that is not finite or not
-    Hermitian."""
+    non-finite surface data, radial factors that overflow a float at a large
+    radius, or a charge matrix that is not finite or not Hermitian."""
 
 
 @dataclass(frozen=True)
@@ -113,20 +113,28 @@ def frame_scales(r, theta, psi, k: ModelConstants) -> np.ndarray:
                                         f_th * np.sin(psi)))
 
 
+def _require_regular(r, sin_theta, sin_psi, what: str):
+    """Raise DegenerateCoordinateError at a theta or psi pole, where the
+    frame is singular, and at r <= 0; `what` names the quantity."""
+    if np.any(np.abs(sin_theta) < _POLE_TOL):
+        raise DegenerateCoordinateError("evaluation at a theta pole")
+    if np.any(np.abs(sin_psi) < _POLE_TOL):
+        raise DegenerateCoordinateError("evaluation at a psi pole")
+    if r <= 0:
+        raise DegenerateCoordinateError(f"{what} needs r > 0")
+
+
 def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
     """omega_{ab c} arrays over broadcastable (theta, psi) at radius r.
 
     Returns shape (4, 4, 4) + broadcast(theta, psi).shape, 0-based frame
-    indices (frame a = index a-1).
+    indices (frame a = index a-1).  Its callers are the Killing-spinor
+    residual verifier and the tests; the mass aspect writes the three
+    connection factors it reads in closed form.
     """
     theta = np.asarray(theta, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if np.any(np.abs(np.sin(theta)) < _POLE_TOL):
-        raise DegenerateCoordinateError("evaluation at a theta pole")
-    if np.any(np.abs(np.sin(psi)) < _POLE_TOL):
-        raise DegenerateCoordinateError("evaluation at a psi pole")
-    if r <= 0:
-        raise DegenerateCoordinateError("spin connection needs r > 0")
+    _require_regular(r, np.sin(theta), np.sin(psi), "spin connection")
     shape = np.broadcast(theta, psi).shape
     omega = np.zeros((4, 4, 4) + shape)
     kr = k.kappa * r

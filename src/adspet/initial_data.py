@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ModelConstants, frame_scales, sphere_grid, spin_connection_grid
+from .geometry import ModelConstants, _require_regular, sphere_grid
 
 __all__ = [
     "InitialDataModel",
@@ -332,23 +332,42 @@ def model_from_config(config, constants: ModelConstants = ModelConstants()):
 
 
 def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
-    """Radial mass aspect e_1, shape broadcast(field shape, r, theta, psi).
+    """Radial mass aspect e_1 at a scalar r > 0, shape broadcast(field shape,
+    theta, psi).
 
     e_1 is the frame divergence of a along e_1, minus the radial derivative
     of tr a, minus kappa (a_11 - g_11 tr a), with g = delta + a.  The
-    divergence term (nabla_j a)_{1j} = e_j(a_1j) - omega_{k1 j} a_kj -
-    omega_{kj j} a_1k reads only the connection slices omega[:, 0, :] and
-    omega[:, j, j].
+    divergence (nabla_j a)_{1j} = e_j(a_1j) - omega_{k1 j} a_kj -
+    omega_{kj j} a_1k reads three nonzero connection factors, 1, cot theta
+    and cot psi / sin theta, times the radial scalars coth = kappa
+    coth(kappa r) and 1/f = kappa / sinh(kappa r).  With 0-based frame
+    indices and da_x the coordinate derivatives of a,
+
+        e_1 = da_r[00] + (da_theta[01] + da_psi[02] / sin theta
+                          + da_phi[03] / (sin theta sin psi)) / f
+              - coth (a11 + a22 + a33) + 3 coth a00
+              + (2 cot theta a01 + cot psi / sin theta a02) / f
+              - tr da_r - kappa (a00 - (1 + a00) tr a).
+
+    The angular factors keep the shape of theta and psi, so e_1 has the
+    data's own shape along phi.
     """
     k = model.constants
+    theta = np.asarray(theta, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    sin_th, sin_ps = np.sin(theta), np.sin(psi)
+    _require_regular(r, sin_th, sin_ps, "the mass aspect")
+    kr = k.kappa * r
+    coth = k.kappa / math.tanh(kr)
+    inv_f = k.kappa / math.sinh(kr)
     a = model.a(r, theta, psi, phi)
     da = model.da_coord(r, theta, psi, phi)
-    scales = frame_scales(r, theta, psi, k)
-    omega = spin_connection_grid(r, theta, psi, k)  # (4,4,4) + angular shape
-    div = sum(da[j][..., 0, j] / scales[j] for j in range(4))
-    div = div - np.einsum("kj...,...kj->...", omega[:, 0, :], a)
-    div = div - np.einsum("k...,...k->...", np.einsum("kjj...->k...", omega),
-                          a[..., 0, :])
+    div = da[0][..., 0, 0] + inv_f * (da[1][..., 0, 1] + da[2][..., 0, 2] / sin_th
+                                      + da[3][..., 0, 3] / (sin_th * sin_ps))
+    div = (div - coth * (a[..., 1, 1] + a[..., 2, 2] + a[..., 3, 3])
+           + 3 * coth * a[..., 0, 0]
+           + inv_f * (2 * np.cos(theta) / sin_th * a[..., 0, 1]
+                      + np.cos(psi) / (sin_ps * sin_th) * a[..., 0, 2]))
     grad_tr = np.einsum("...ii->...", da[0])
     tra = np.einsum("...ii->...", a)
     correction = k.kappa * (a[..., 0, 0] - (1.0 + a[..., 0, 0]) * tra)

@@ -30,7 +30,7 @@ from .charges import (
 from .clifford import gamma
 from .geometry import NumericalError, QuadratureSpec, radial_limit
 from .initial_data import InitialDataModel
-from .spinors import KillingParams, killing_spinor_grid, profiles
+from .spinors import KillingParams, _spinor_from_profiles, profiles
 
 __all__ = [
     "assemble_q",
@@ -399,18 +399,18 @@ _FORM_TERMS = tuple(
     for a in range(4))
 
 
-def _identity_surface_value(s: SurfaceData, lam, mode):
+def _identity_surface_value(s: SurfaceData, prof, mode):
     """One radius of the boundary surface integral, either mode.
 
-    The integrand is summed at the nodes and integrated once.  Returns the
-    integral and the integral of the integrand's absolute value.
+    prof holds the Killing-spinor angular profiles (u+, u-, v+, v-) on the
+    grid of s; r enters only through scalar factors.  The integrand is
+    summed at the nodes and integrated once.  Returns the integral and the
+    integral of the integrand's absolute value.
     """
     k = s.constants
-    grid = s.grid
-    theta, psi, phi = grid.theta, grid.psi, grid.phi
 
     if mode == "leading":
-        up, _, vp, _ = profiles(lam, theta, psi, phi)
+        up, _, vp, _ = prof
         uu, vv, uv = np.abs(up) ** 2, np.abs(vp) ** 2, np.conj(up) * vp
         _, p21, p31, p41 = s.p1
         integrand = (0.5 * s.e1 * (uu + vv) + p21 * (uu - vv)
@@ -428,7 +428,7 @@ def _identity_surface_value(s: SurfaceData, lam, mode):
         # aspect without its kappa correction term.  The h coefficient
         # h_k1 - g_k1 tr h is the momentum aspect P_{k1}.
         coeffs = (s.e1 + coeff_a[0], *coeff_a, *s.p1)
-        spinor = killing_spinor_grid(lam, s.r, theta, psi, phi, k)  # (4,) + grid
+        spinor = _spinor_from_profiles(prof, s.r, k)  # (4,) + grid
         m_phi = [sum(sum(f * coeffs[n] for n, f in terms) * spinor[b]
                      for b, terms in row)
                  for row in _FORM_TERMS]
@@ -450,7 +450,9 @@ def boundary_identity(
     if mode not in ("leading", "exact"):
         raise ValueError(f"mode must be 'leading' or 'exact', got {mode!r}")
     cs, surfaces = charges_and_surfaces(model, q)
-    vals, abs_vals = zip(*(_identity_surface_value(s, lam, mode)
+    grid = surfaces[0].grid
+    prof = profiles(lam, grid.theta, grid.psi, grid.phi)
+    vals, abs_vals = zip(*(_identity_surface_value(s, prof, mode)
                            for s in surfaces))
     re_vals = [v.real for v in vals]
     lhs_imag = max(abs(v.imag) for v in vals)

@@ -2,7 +2,8 @@
 
 The four angular profiles u+, u-, v+, v- are degree-1 trigonometric
 polynomials in the half angles, linear in four free complex parameters.
-The full spinor combines them with radial weights exp(+-kappa r / 2).
+The full spinor combines them with radial weights exp(+-kappa r / 2), so
+the profiles of one lambda and grid serve every radius.
 A finite-difference residual evaluator verifies the defining first-order
 equation numerically.
 """
@@ -61,9 +62,11 @@ def profiles(lam: KillingParams, theta, psi, phi):
     return u_plus, u_minus, v_plus, v_minus
 
 
-def killing_spinor_grid(lam: KillingParams, r, theta, psi, phi, k: ModelConstants):
-    """Killing spinor components, shape (4,) + broadcast angle shape."""
-    up, um, vp, vm = profiles(lam, theta, psi, phi)
+def _spinor_from_profiles(prof, r, k: ModelConstants):
+    """The Killing spinor at radius r (a scalar or an array broadcastable
+    to the angles) from its angular profiles (u+, u-, v+, v-), which carry
+    no r: shape (4,) + broadcast shape."""
+    up, um, vp, vm = prof
     e_plus = np.exp(0.5 * k.kappa * np.asarray(r, dtype=float))
     e_minus = np.exp(-0.5 * k.kappa * np.asarray(r, dtype=float))
     return np.stack(
@@ -74,6 +77,11 @@ def killing_spinor_grid(lam: KillingParams, r, theta, psi, phi, k: ModelConstant
             1j * (vp * e_plus - vm * e_minus),
         )
     )
+
+
+def killing_spinor_grid(lam: KillingParams, r, theta, psi, phi, k: ModelConstants):
+    """Killing spinor components, shape (4,) + broadcast angle shape."""
+    return _spinor_from_profiles(profiles(lam, theta, psi, phi), r, k)
 
 
 def killing_spinor(lam: KillingParams, p: SlicePoint, k: ModelConstants) -> np.ndarray:

@@ -9,19 +9,22 @@ from adspet.charges import (
     CHARGE_NAMES,
     J_ORDER,
     ChargeSet,
+    _COSH,
+    _PREFACTOR,
+    _radial_factors,
     _reduced_table,
     _surface_integrals,
     charge_surface_values,
     compute_charges,
     derived,
 )
-from adspet.geometry import ModelConstants, QuadratureSpec, sphere_grid
+from adspet.geometry import ModelConstants, NumericalError, QuadratureSpec, sphere_grid
 from adspet.initial_data import (
     AdsExactModel,
     OffdiagMomentumModel,
     RadialBumpModel,
 )
-from adspet.killing import killing_frame_table
+from adspet.killing import killing_frame_table, killing_radial_scale
 
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
@@ -276,3 +279,26 @@ def test_reduction_cache_stays_bounded():
     for model in models:
         compute_charges(model, q)
     assert _reduced_table.cache_info().misses == info.misses
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.7])
+@pytest.mark.parametrize("r", [0.3, 4.0, 7.0])
+def test_radial_factors_match_the_per_label_scales(r, kappa):
+    # The cosh/sinh choice is read once per label at import; per radius the
+    # factors are bit-identical to one killing_radial_scale call per label.
+    k = ModelConstants(kappa)
+    kr = kappa * r
+    per_label = np.array([killing_radial_scale(label, r, k)
+                          for label in E_FIELDS + P_FIELDS])
+    assert np.array_equal(np.where(_COSH, math.cosh(kr), math.sinh(kr)), per_label)
+    expected = per_label * (_PREFACTOR * kappa * (math.sinh(kr) / kappa) ** 3)
+    assert np.array_equal(_radial_factors(r, k), expected)
+
+
+@pytest.mark.parametrize("r", [200.0, 300.0, 800.0])
+def test_overflowing_radial_factors_are_a_numerical_failure(r):
+    # cosh(r) sinh(r)^3 overflows a float past r ~ 178, sinh(r)^3 past
+    # r ~ 237 and sinh(r) past r ~ 710: each is a NumericalError, not an
+    # OverflowError escaping from math or a non-finite charge.
+    with pytest.raises(NumericalError, match="overflow at r = "):
+        charge_surface_values(RadialBumpModel(m=0.1, constants=K1), r, 8, 8, 8)

@@ -313,3 +313,17 @@ def test_identity_on_vanishing_data_passes(tmp_path, capsys, mode):
     assert data["gap"] < 1e-5 and data["diverged"] is False
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["bound", "charges", "identity"])
+@pytest.mark.parametrize("radii", ["300,301,302", "800,801,802"])
+def test_overflowing_radii_are_a_numerical_failure(capsys, command, radii):
+    # sinh(r)^3 overflows a float past r ~ 237 and sinh(r) past r ~ 710;
+    # math's OverflowError once escaped as a traceback with exit 1, the
+    # code of a failed verification.
+    extra = ["--lambda=1,0,0,0,0,0,0,0"] if command == "identity" else []
+    assert main([command, "--model", BUMP, *SMALL, "--radii", radii, *extra,
+                 "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: " in err and "overflow" in err
+    assert "Traceback" not in err

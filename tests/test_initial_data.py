@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from adspet.geometry import ModelConstants, SlicePoint, sphere_grid
+from adspet.geometry import (
+    DegenerateCoordinateError,
+    ModelConstants,
+    SlicePoint,
+    frame_scales,
+    sphere_grid,
+    spin_connection_grid,
+)
 from adspet.initial_data import (
     ANGULAR_PROFILES,
     AdsExactModel,
@@ -323,6 +330,79 @@ def test_mass_aspect_frozen_on_angle_dependent_data():
     }
     for point, e1 in frozen.items():
         assert mass_aspect_grid(model, *point) == pytest.approx(e1, rel=1e-12)
+
+
+def dense_mass_aspect(model, r, theta, psi, phi):
+    """e_1 from the whole (4, 4, 4) spin connection, contracted as
+    (nabla_j a)_{1j} = e_j(a_1j) - omega_{k1 j} a_kj - omega_{kj j} a_1k.
+
+    Returns e_1 and the largest absolute value of its terms."""
+    k = model.constants
+    a = model.a(r, theta, psi, phi)
+    da = model.da_coord(r, theta, psi, phi)
+    scales = frame_scales(r, theta, psi, k)
+    omega = spin_connection_grid(r, theta, psi, k)
+    terms = [da[j][..., 0, j] / scales[j] for j in range(4)]
+    terms.append(-np.einsum("kj...,...kj->...", omega[:, 0, :], a))
+    terms.append(-np.einsum("k...,...k->...", np.einsum("kjj...->k...", omega),
+                            a[..., 0, :]))
+    terms.append(-np.einsum("...ii->...", da[0]))
+    tra = np.einsum("...ii->...", a)
+    terms.append(-k.kappa * (a[..., 0, 0] - (1.0 + a[..., 0, 0]) * tra))
+    return sum(terms), max(np.max(np.abs(t)) for t in terms)
+
+
+class FixedFieldsModel(InitialDataModel):
+    """Given a and da_coord at every node of one grid, at any radius."""
+
+    name = "fixed"
+
+    def __init__(self, a, da, constants):
+        super().__init__(4.0, constants)
+        self._a, self._da = a, da
+
+    def a(self, r, theta, psi, phi):
+        return self._a
+
+    def h(self, r, theta, psi, phi):
+        return np.zeros_like(self._a)
+
+    def da_coord(self, r, theta, psi, phi):
+        return self._da
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.7])
+def test_mass_aspect_closed_form_matches_the_dense_contraction(kappa):
+    # The closed form reads three connection factors; the oracle contracts
+    # the whole connection, on angle-dependent data with every component
+    # of a and da nonzero (and a not symmetric, so no index may be swapped).
+    k = ModelConstants(kappa)
+    grid = sphere_grid(6, 8, 10)
+    angles = (grid.theta, grid.psi, grid.phi)
+    rng = np.random.default_rng(int(10 * kappa))
+    tilted = TiltedModel(0.3)
+    tilted.constants = k
+    models = [tilted, FixedFieldsModel(rng.standard_normal(grid.shape + (4, 4)),
+                                       rng.standard_normal((4,) + grid.shape + (4, 4)),
+                                       k)]
+    for model in models:
+        for r in (1.5, 4.0, 7.0):
+            got = mass_aspect_grid(model, r, *angles)
+            want, scale = dense_mass_aspect(model, r, *angles)
+            assert got.shape == want.shape == grid.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (model.name, r)
+
+
+def test_mass_aspect_rejects_poles_and_nonpositive_radii():
+    model = RadialBumpModel(m=0.1, constants=K1)
+    for r, theta, psi in ((2.0, 0.0, 1.0), (2.0, math.pi, 1.0), (2.0, 1.0, 0.0),
+                          (2.0, 1.0, math.pi), (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0)):
+        with pytest.raises(DegenerateCoordinateError):
+            mass_aspect_grid(model, r, theta, psi, 0.5)
+    # One pole node on a grid is enough.
+    with pytest.raises(DegenerateCoordinateError, match="theta pole"):
+        mass_aspect_grid(model, 2.0, np.array([0.5, 0.0])[:, None, None],
+                         np.full((1, 3, 1), 1.0), 0.5)
 
 
 # Field shapes S of a and h on the 32^3 sphere grid: length 1 along every

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adspet import geometry, initial_data, qmatrix
 from adspet.charges import ChargeSet, SurfaceData, derived
 from adspet.clifford import gamma
 from adspet.geometry import ModelConstants, QuadratureSpec, sphere_grid
-from adspet.initial_data import OffdiagMomentumModel, RadialBumpModel
+from adspet.initial_data import OffdiagMomentumModel, RadialBumpModel, mass_aspect_grid
 from adspet.qmatrix import (
     _closed_form_terms,
     _identity_surface_value,
@@ -23,7 +24,7 @@ from adspet.qmatrix import (
     theorem_bounds,
     third_minor_sum,
 )
-from adspet.spinors import KillingParams, killing_spinor_grid
+from adspet.spinors import KillingParams, killing_spinor_grid, profiles
 
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
@@ -446,9 +447,11 @@ def test_boundary_identity_mode_validation():
         boundary_identity(model, KillingParams(1, 0, 0, 0), Q_STD, "bogus")
 
 
-def test_boundary_identity_evaluates_each_surface_once():
+def test_boundary_identity_evaluates_each_surface_once(monkeypatch):
     # One pass gives both the charges and the identity's base-grid data:
-    # one mass-aspect evaluation per radius on each of the two grids.
+    # one mass-aspect evaluation per radius on each of the two grids.  The
+    # Killing-spinor profiles are built once per call, and the mass aspect
+    # does not build the spin connection.
     class CountingBump(RadialBumpModel):
         calls = 0
 
@@ -456,12 +459,29 @@ def test_boundary_identity_evaluates_each_surface_once():
             CountingBump.calls += 1
             return super().da_coord(r, theta, psi, phi)
 
+    profile_calls = []
+
+    def counting_profiles(*args):
+        profile_calls.append(args)
+        return profiles(*args)
+
+    def no_connection(*args):
+        raise AssertionError("spin_connection_grid called")
+
+    monkeypatch.setattr(qmatrix, "profiles", counting_profiles)
+    for module in (geometry, initial_data):
+        monkeypatch.setattr(module, "spin_connection_grid", no_connection,
+                            raising=False)
     model = CountingBump(m=0.1, constants=K1)
+    grid = sphere_grid(8, 8, 8)
+    assert mass_aspect_grid(model, 5.0, grid.theta, grid.psi, grid.phi).shape == (8, 8, 1)
     for mode in ("leading", "exact"):
         CountingBump.calls = 0
+        profile_calls.clear()
         rep = boundary_identity(model, KillingParams(1.0, 0.5j, 0.0, -0.3), Q_STD, mode)
         assert rep.gap < 1e-8
         assert CountingBump.calls == 2 * len(Q_STD.radii)
+        assert len(profile_calls) == 1, mode
 
 
 def test_identity_gap_keeps_its_scale_at_tiny_amplitudes():
@@ -515,7 +535,8 @@ def test_exact_identity_matches_the_nine_bilinears(shapes):
     s = SurfaceData(r=5.0, grid=grid, constants=K1, a=a, e1=e1, p1=p1,
                     values=np.zeros(15), scales=np.zeros(15))
     lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    value, abs_value = _identity_surface_value(s, lam, "exact")
+    value, abs_value = _identity_surface_value(
+        s, profiles(lam, grid.theta, grid.psi, grid.phi), "exact")
 
     spinor = killing_spinor_grid(lam, 5.0, grid.theta, grid.psi, grid.phi, K1)
     mats = ([np.eye(4)] + [gamma(k) for k in range(1, 5)]
