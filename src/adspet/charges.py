@@ -4,14 +4,18 @@ Fifteen quantities are computed: the energy, four boost-type momenta c_i,
 four c'_i from the momentum aspect against the (i,0) fields, and six
 angular momenta J_ij from the rotational fields.  Each one is a weighted
 surface integral evaluated on the radii schedule and extrapolated.  The
-surface data are evaluated once per radius and grid (SurfaceData), on the
-base and the doubled grid; the boundary identity reads the same pass.
+surface data are evaluated once per grid (SurfaceData), on the base and the
+doubled grid, with every radius at once: the radius is a batch axis ahead
+of the angles, and a single radius is a batch of shape ().  The boundary
+identity reads the same pass.
 
 The Killing tables are built once per grid.  Data that keep their own
 angular shape S are contracted at S, against the tables summed over every
-angle along which S has length 1, so no field is spread to the full grid.
-The same reduction of |table| gives each charge's absolute integral, the
-scale on which a column is judged to be quadrature roundoff.
+angle along which S has length 1, so no field is spread to the full grid;
+all radii go through one matrix product per table.  r enters only through
+scalars: the radial factors of each charge, and coth and 1/f in the mass
+aspect.  The same reduction of |table| gives each charge's absolute
+integral, the scale on which a column is judged to be quadrature roundoff.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .geometry import (
     QuadratureSpec,
     RadialLimit,
     SphereGrid,
+    _area_factor,
+    _radial_values,
     radial_limit,
     sphere_grid,
 )
@@ -203,7 +209,7 @@ ZERO_REL = 1e-12
 @dataclass(frozen=True)
 class _ChargeTables:
     """Per-grid Killing tables: node weights times the angular factors of
-    the frame components, so each radius reduces with one contraction."""
+    the frame components, so every radius reduces with one contraction."""
 
     grid: SphereGrid
     e: np.ndarray        # (5,) + grid shape: against e_1
@@ -252,101 +258,124 @@ def _surface_integrals(ntheta: int, npsi: int, nphi: int, k: ModelConstants,
     """Weighted Killing-table integrals of e_1 (shape S_e) and P_{k1}
     (shape (4,) + S_p), contracted at the data's own shapes.
 
-    Returns (integrals, absolute integrals), each of the fifteen columns in
-    CHARGE_NAMES order, without radial factors.
+    The last three axes of S_e and S_p are the angles; the leading ones are
+    radii (length 1 where the data do not depend on r), and every radius is
+    one row of a single matrix product per table.  Returns (integrals,
+    absolute integrals), each of shape B + (15,) with B the broadcast of the
+    leading axes, the columns in CHARGE_NAMES order, without radial factors.
     """
-    te, abs_te = _reduced_table(ntheta, npsi, nphi, k, "e", e1.shape)
-    tp, abs_tp = _reduced_table(ntheta, npsi, nphi, k, "p", p1.shape[1:])
-    e1 = e1.ravel()
-    p1 = p1[1:].reshape(-1)
-    return (np.concatenate([te @ e1, tp @ p1]),
-            np.concatenate([abs_te @ np.abs(e1), abs_tp @ np.abs(p1)]))
+    te, abs_te = _reduced_table(ntheta, npsi, nphi, k, "e", e1.shape[-3:])
+    tp, abs_tp = _reduced_table(ntheta, npsi, nphi, k, "p", p1.shape[-3:])
+    lead_e, lead_p = e1.shape[:-3], p1.shape[1:-3]
+    lead = np.broadcast_shapes(lead_e, lead_p)
+    # One row per radius; a row of P holds P_21, P_31 and P_41 in turn.
+    e_rows = e1.reshape(-1, te.shape[1])
+    p_rows = np.moveaxis(p1[1:], 0, -4).reshape(-1, tp.shape[1])
+
+    def columns(rows, table, rows_lead):
+        # rows @ table.T, as one dot product per (radius, charge): a BLAS
+        # matrix product packs its operands into a work buffer, which adds
+        # about 0.35 MB to a process's peak memory, and on full-shape data
+        # on the doubled grid it takes longer.
+        out = np.vecdot(rows[:, None, :], table).reshape(rows_lead + (len(table),))
+        return np.broadcast_to(out, lead + (len(table),))
+
+    return tuple(
+        np.concatenate([columns(e, t_e, lead_e), columns(p, t_p, lead_p)], axis=-1)
+        for e, p, t_e, t_p in ((e_rows, p_rows, te, tp),
+                               (np.abs(e_rows), np.abs(p_rows), abs_te, abs_tp)))
 
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """The surface data of one model on one sphere S_r and one grid.
+    """The surface data of one model on the spheres S_r of a batch of radii
+    r (shape B; a single radius is B = ()), on one grid.
 
-    It is evaluated once per (model, radius, grid); the charges and both
-    modes of the boundary identity read it.
+    It is evaluated once per (model, grid), with every radius at once; the
+    charges and both modes of the boundary identity read it.
 
-    The fields keep the model's own shape S, which broadcasts to the grid
-    shape and has length 1 along every angle the data do not depend on.
+    The fields keep the model's own shape S, which broadcasts to B + grid
+    shape and has length 1 along every angle the data do not depend on, and
+    along the radii where they do not depend on r.
     """
 
-    r: float
+    r: float | np.ndarray
     grid: SphereGrid
     constants: ModelConstants
     a: np.ndarray        # metric perturbation, shape S + (4, 4)
     e1: np.ndarray       # radial mass aspect, shape S
     p1: np.ndarray       # P_{k1} for k = 1..4, shape (4,) + S
-    values: np.ndarray   # the fifteen pre-limit surface integrals
+    values: np.ndarray   # the fifteen pre-limit surface integrals, B + (15,)
     scales: np.ndarray   # their absolute integrals, of |Killing field x data|
 
     def integrate(self, values):
-        """Integral over S_r of a field given at the grid nodes."""
+        """Integral over each S_r of a field given at the grid nodes, shape
+        B + grid shape or one that broadcasts to it; the result has shape B."""
         return self.grid.integrate(values, self.r, self.constants)
 
 
-def _radial_factors(r: float, k: ModelConstants) -> np.ndarray:
-    """The fifteen radial factors of the surface integrals at radius r: the
-    Killing fields' cosh or sinh(kappa r), the area factor f^3 and the
-    prefactors.
+def _radial_factors(r, k: ModelConstants) -> np.ndarray:
+    """The fifteen radial factors of the surface integrals at each radius of
+    r (shape B), shape B + (15,): the Killing fields' cosh or sinh(kappa r),
+    the area factor f^3 and the prefactors.
 
     Raises NumericalError where one of them overflows a float; the aspects
     are not evaluated past that radius.
     """
-    kr = k.kappa * r
-    try:
-        with np.errstate(over="raise"):
-            return (np.where(_COSH, math.cosh(kr), math.sinh(kr))
-                    * (_PREFACTOR * k.kappa * (math.sinh(kr) / k.kappa) ** 3))
-    except (OverflowError, FloatingPointError):
-        raise NumericalError(
-            f"the radial factors of the surface integrals overflow at r = {r:g}"
-        ) from None
+    what = "the radial factors of the surface integrals"
+    r = np.asarray(r, dtype=float)
+    cosh, sinh = (_radial_values(fn, r, k, what)[..., None]
+                  for fn in (math.cosh, math.sinh))
+    area = _area_factor(r, k, what)[..., None]
+    with np.errstate(over="ignore"):
+        out = np.where(_COSH, cosh, sinh) * (_PREFACTOR * k.kappa * area)
+    overflow = np.isinf(out).any(axis=-1)
+    if overflow.any():
+        raise NumericalError(f"{what} overflow at r = {r[overflow].flat[0]:g}")
+    return out
 
 
-def charge_surface_values(model: InitialDataModel, r: float, ntheta: int,
+def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
                           npsi: int, nphi: int) -> SurfaceData:
-    """Evaluate the surface data of a model at radius r on the given grid.
+    """Evaluate the surface data of a model at every radius of `radii` (a
+    float or an array of shape B) on the given grid.
 
-    Its `values` are all fifteen pre-limit surface integrals, in
+    The model's a, h and da_coord are each called once, with the radii on
+    axes of their own ahead of the angles.  Its `values` are all fifteen
+    pre-limit surface integrals at each radius, shape B + (15,), in
     CHARGE_NAMES order, including the kappa/16pi and kappa/8pi prefactors;
     its `scales` are the same integrals of the absolute integrand.
     """
     k = model.constants
+    r = np.asarray(radii, dtype=float)
     radial = _radial_factors(r, k)
     grid = _charge_tables(ntheta, npsi, nphi, k).grid
-    angles = (grid.theta, grid.psi, grid.phi)
-    e1 = mass_aspect_grid(model, r, *angles)
-    p1 = np.moveaxis(momentum_aspect_grid(model, r, *angles)[..., :, 0], -1, 0)
+    nodes = (r.reshape(r.shape + (1, 1, 1)), grid.theta, grid.psi, grid.phi)
+    a = model.a(*nodes)
+    e1 = mass_aspect_grid(a, model.da_coord(*nodes), *nodes[:3], k)
+    p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)
     values, scales = _surface_integrals(ntheta, npsi, nphi, k, e1, p1)
-    a = model.a(r, *angles)
-    return SurfaceData(r=float(r), grid=grid, constants=k, a=a, e1=e1, p1=p1,
+    return SurfaceData(r=r[()], grid=grid, constants=k, a=a, e1=e1, p1=p1,
                        values=radial * values, scales=radial * scales)
 
 
 def charges_and_surfaces(model: InitialDataModel, q: QuadratureSpec):
-    """Evaluate the surface data once per radius on the base and the doubled
-    grid, and extrapolate the charges.
+    """Evaluate the surface data at every radius on the base and on the
+    doubled grid, one pass per grid, and extrapolate the charges.
 
-    Returns the ChargeSet and the base-grid SurfaceData of each radius.
+    Returns the ChargeSet and the base-grid SurfaceData, whose radii are
+    q.radii.
     """
-    base = tuple(charge_surface_values(model, r, q.ntheta, q.npsi, q.nphi)
-                 for r in q.radii)
-    fine = np.empty((len(q.radii), len(CHARGE_NAMES)))
-    col_scale = np.zeros(len(CHARGE_NAMES))
-    for i, r in enumerate(q.radii):
-        s = charge_surface_values(model, r, 2 * q.ntheta, 2 * q.npsi, 2 * q.nphi)
-        fine[i] = s.values
-        np.maximum(col_scale, s.scales, out=col_scale)
-    coarse = np.array([s.values for s in base])
-    col_max = np.max(np.abs(fine), axis=0)
+    radii = np.array(q.radii)
+    base = charge_surface_values(model, radii, q.ntheta, q.npsi, q.nphi)
+    fine = charge_surface_values(model, radii, 2 * q.ntheta, 2 * q.npsi,
+                                 2 * q.nphi)
+    col_max = np.max(np.abs(fine.values), axis=0)
+    col_scale = np.max(fine.scales, axis=0)
     negligible = col_max <= ZERO_REL * col_scale
-    quad_ok = negligible | (np.max(np.abs(fine - coarse), axis=0)
+    quad_ok = negligible | (np.max(np.abs(fine.values - base.values), axis=0)
                             < q.rel_tol * col_max)
 
     values = np.zeros(15)
@@ -357,7 +386,7 @@ def charges_and_surfaces(model: InitialDataModel, q: QuadratureSpec):
                 residual=float(col_max[idx]), diverged=False,
                 quadrature_converged=bool(quad_ok[idx]))
             continue
-        rl: RadialLimit = radial_limit(list(zip(q.radii, fine[:, idx])),
+        rl: RadialLimit = radial_limit(list(zip(q.radii, fine.values[:, idx])),
                                        model.constants)
         values[idx] = rl.limit
         diags[name] = ChargeDiagnostics(

@@ -72,9 +72,10 @@ def _resolved_config(args, extra=None):
 
 def _emit(report, args):
     if args.out:
+        # One write: json.dump would make hundreds of small ones.
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         with open(args.out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
 
 
 def _say(args, *parts):
@@ -360,7 +361,9 @@ def _cmd_sample_psd(args):
     failures = int(np.count_nonzero(~b.satisfied))
     min_clamped = float(np.min(derived(cs).a_total - 2 * math.sqrt(2) * b.w))
     boundary = (delta == 0.0) & (e0 < 1e-12)
-    qnorm = np.linalg.norm(assemble_q(cs)[boundary], axis=(-2, -1))
+    at_boundary = ChargeSet(e0=e0[boundary], c=c[boundary], cp=cp[boundary],
+                            j=j[boundary])
+    qnorm = np.linalg.norm(assemble_q(at_boundary), axis=(-2, -1))
     boundary_max_q = float(qnorm.max(initial=0.0))
     passed = failures == 0
     _say(args, f"{args.n - failures}/{args.n} bound checks pass "

@@ -120,8 +120,36 @@ def _require_regular(r, sin_theta, sin_psi, what: str):
         raise DegenerateCoordinateError("evaluation at a theta pole")
     if np.any(np.abs(sin_psi) < _POLE_TOL):
         raise DegenerateCoordinateError("evaluation at a psi pole")
-    if r <= 0:
+    if np.any(np.asarray(r) <= 0):
         raise DegenerateCoordinateError(f"{what} needs r > 0")
+
+
+def _radial_values(fn, r, k: ModelConstants, what: str) -> np.ndarray:
+    """fn(kappa r) at every radius of r (a float or an array), in r's shape.
+
+    fn is a scalar function of the math module: numpy's vectorised cosh,
+    sinh and exp may round differently in the last bit, and a value at one
+    radius should not depend on the batch it came in.  Raises NumericalError
+    naming the first radius at which fn overflows a float; `what` names the
+    quantity.
+    """
+    r = np.asarray(r, dtype=float)
+    out = []
+    for x in r.flat:
+        try:
+            value = fn(k.kappa * x)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise NumericalError(f"{what} overflow at r = {x:g}")
+        out.append(value)
+    return np.array(out).reshape(r.shape)
+
+
+def _area_factor(r, k: ModelConstants, what: str) -> np.ndarray:
+    """f^3 = (sinh(kappa r) / kappa)^3, the radial factor of the area form of
+    S_r, at every radius of r; NumericalError where it overflows."""
+    return _radial_values(lambda kr: (math.sinh(kr) / k.kappa) ** 3, r, k, what)
 
 
 def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
@@ -180,14 +208,20 @@ class SphereGrid:
                 % (self.theta[it, 0, 0], self.psi[0, ip, 0], self.phi[0, 0, iph])
             )
 
-    def integrate(self, values, r: float, k: ModelConstants):
+    def integrate(self, values, r, k: ModelConstants):
         """Integral over S_r, against the area form, of a field given at the
-        nodes (any shape that broadcasts to the grid)."""
-        if r <= 0:
+        nodes.
+
+        r is a radius or an array of radii of shape B; values broadcasts to
+        B + grid shape, and the result has shape B.
+        """
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0):
             raise ValueError(f"r must be positive, got {r}")
-        values = np.broadcast_to(values, self.shape)
+        values = np.broadcast_to(values, r.shape + self.shape)
         self.require_finite(values)
-        return np.sum(values * self.weights) * (math.sinh(k.kappa * r) / k.kappa) ** 3
+        area = _area_factor(r, k, "the area factors of S_r")
+        return np.sum(values * self.weights, axis=(-3, -2, -1)) * area
 
 
 def sphere_grid(ntheta: int, npsi: int, nphi: int) -> SphereGrid:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ModelConstants, _require_regular, sphere_grid
+from .geometry import ModelConstants, _radial_values, _require_regular, sphere_grid
 
 __all__ = [
     "InitialDataModel",
@@ -261,10 +261,13 @@ class GridModel(InitialDataModel):
         self._dps = _barycentric_diffmat(self.grid.psi[0, :, 0])
         self._dph = _fourier_diffmat(nphi) * (nphi / (2 * math.pi))
 
-    def _radius_index(self, r) -> int:
-        r = float(np.asarray(r).reshape(()))
-        idx = int(np.argmin(np.abs(self.radii - r)))
-        if abs(self.radii[idx] - r) > 1e-9:
+    def _radius_index(self, r) -> np.ndarray:
+        """Index into the file's radii of r: a radius, or radii of shape
+        B + (1, 1, 1) as on the sphere grid, giving an index of shape B."""
+        r = np.asarray(r, dtype=float)
+        r = r.reshape(r.shape[:-3] if r.ndim > 3 else ())
+        idx = np.argmin(np.abs(self.radii - r[..., None]), axis=-1)
+        if np.any(np.abs(self.radii[idx] - r) > 1e-9):
             raise ValueError(
                 f"grid model evaluable only at its own radii; got r={r}"
             )
@@ -291,17 +294,19 @@ class GridModel(InitialDataModel):
         self._check_angles(theta, psi, phi)
         i = self._radius_index(r)
         # Radial derivative of the quadratic through the nearest three radii.
-        lo = min(max(i - 1, 0), len(self.radii) - 3)
-        x0, x1, x2 = self.radii[lo:lo + 3]
-        f0, f1, f2 = self.a_data[lo:lo + 3]
+        lo = np.clip(i - 1, 0, len(self.radii) - 3)
+        x0, x1, x2 = (self.radii[lo + n] for n in range(3))
+        f0, f1, f2 = (self.a_data[lo + n] for n in range(3))
         x = self.radii[i]
-        dr = ((2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2)) * f0
-              + (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2)) * f1
-              + (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1)) * f2)
+        w0, w1, w2 = (np.reshape(w, np.shape(w) + (1,) * 5) for w in (
+            (2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2)),
+            (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2)),
+            (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1))))
+        dr = w0 * f0 + w1 * f1 + w2 * f2
         slab = self.a_data[i]
-        dth = np.einsum("ij,jabkl->iabkl", self._dth, slab)
-        dps = np.einsum("ij,ajbkl->aibkl", self._dps, slab)
-        dph = np.einsum("ij,abjkl->abikl", self._dph, slab)
+        dth = np.einsum("ij,...jabkl->...iabkl", self._dth, slab)
+        dps = np.einsum("ij,...ajbkl->...aibkl", self._dps, slab)
+        dph = np.einsum("ij,...abjkl->...abikl", self._dph, slab)
         return np.stack([dr, dth, dps, dph])
 
     def params(self):
@@ -331,9 +336,15 @@ def model_from_config(config, constants: ModelConstants = ModelConstants()):
     return model_registry(config["name"], config.get("params"), constants)
 
 
-def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
-    """Radial mass aspect e_1 at a scalar r > 0, shape broadcast(field shape,
+def mass_aspect_grid(a, da, r, theta, psi, k: ModelConstants) -> np.ndarray:
+    """Radial mass aspect e_1 of the fields a (shape S + (4, 4)) and their
+    coordinate derivatives da ((4,) + S + (4, 4)), as a model's `a` and
+    `da_coord` return them at (r, theta, psi, phi); shape broadcast(S,
     theta, psi).
+
+    r > 0 is a radius or an array of radii that broadcasts against the
+    angles, as the model was evaluated at, e.g. shape B + (1, 1, 1) on the
+    sphere grid.
 
     e_1 is the frame divergence of a along e_1, minus the radial derivative
     of tr a, minus kappa (a_11 - g_11 tr a), with g = delta + a.  The
@@ -350,18 +361,16 @@ def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
               - tr da_r - kappa (a00 - (1 + a00) tr a).
 
     The angular factors keep the shape of theta and psi, so e_1 has the
-    data's own shape along phi.
+    data's own shape along phi.  Raises NumericalError naming the radius
+    where 1/f overflows a float (kappa r past about 710).
     """
-    k = model.constants
     theta = np.asarray(theta, dtype=float)
     psi = np.asarray(psi, dtype=float)
     sin_th, sin_ps = np.sin(theta), np.sin(psi)
     _require_regular(r, sin_th, sin_ps, "the mass aspect")
-    kr = k.kappa * r
-    coth = k.kappa / math.tanh(kr)
-    inv_f = k.kappa / math.sinh(kr)
-    a = model.a(r, theta, psi, phi)
-    da = model.da_coord(r, theta, psi, phi)
+    what = "the radial scalars of the mass aspect"
+    coth = _radial_values(lambda kr: k.kappa / math.tanh(kr), r, k, what)
+    inv_f = _radial_values(lambda kr: k.kappa / math.sinh(kr), r, k, what)
     div = da[0][..., 0, 0] + inv_f * (da[1][..., 0, 1] + da[2][..., 0, 2] / sin_th
                                       + da[3][..., 0, 3] / (sin_th * sin_ps))
     div = (div - coth * (a[..., 1, 1] + a[..., 2, 2] + a[..., 3, 3])
@@ -374,14 +383,11 @@ def mass_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
     return div - grad_tr - correction
 
 
-def momentum_aspect_grid(model: InitialDataModel, r, theta, psi, phi) -> np.ndarray:
-    """Momentum aspect P_{ki} = h_ki - g_ki tr h, shape S + (4, 4) with S
-    the broadcast of the field shapes of a and h."""
-    a = model.a(r, theta, psi, phi)
-    h = model.h(r, theta, psi, phi)
+def momentum_aspect_grid(a, h) -> np.ndarray:
+    """Momentum aspect P_{ki} = h_ki - g_ki tr h of the fields a and h, with
+    g = delta + a: shape S + (4, 4), S the broadcast of their field shapes."""
     trh = np.einsum("...ii->...", h)
-    g = np.eye(4) + a
-    return h - g * trh[..., None, None]
+    return h - (np.eye(4) + a) * trh[..., None, None]
 
 
 @dataclass(frozen=True)

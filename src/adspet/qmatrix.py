@@ -6,6 +6,12 @@ module assembles Q, evaluates the five lower bounds on the energy, the
 closed-form third-minor sum and determinant, the rigidity classification,
 a seeded PSD sampler for property sweeps, and the boundary identity tying
 the spinor surface integrals to lambda^dagger Q lambda.
+
+The identity reads the charges' surface pass at every radius at once.  Its
+integrand, in either mode, is a sum of sixteen real angular tables of the
+Killing-spinor profiles, built once per call, each times a coefficient
+formed at the data's own shape from a fixed 9 x 16 matrix and the weights
+e^{+-kappa r}; the leading mode is the e^{kappa r} part of that sum.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from .charges import (
     derived,
 )
 from .clifford import gamma
-from .geometry import NumericalError, QuadratureSpec, radial_limit
+from .geometry import NumericalError, QuadratureSpec, _radial_values, radial_limit
 from .initial_data import InitialDataModel
-from .spinors import KillingParams, _spinor_from_profiles, profiles
+from .spinors import KillingParams, profiles
 
 __all__ = [
     "assemble_q",
@@ -371,6 +377,8 @@ class IdentityReport:
     rhs: float
     gap: float
     mode: str
+    # The imaginary part of lhs.  M is Hermitian and the integrand is summed
+    # as the real form it is, so this is 0.
     lhs_imag: float
     diverged: bool
 
@@ -387,53 +395,93 @@ class IdentityReport:
 
 # The exact-mode integrand is the Hermitian form <Phi, M Phi> with
 # M = sum_n c_n _FORM_MATS[n]: the identity, gamma_1..4 and gamma_0 gamma_1..4
-# with their weights, against nine real fields c_n of the surface data.  Each
-# matrix has one nonzero per row, so an entry of M takes at most four terms.
-# _FORM_TERMS[a] holds, for every nonzero entry (a, b) of M, b and its terms
-# (n, _FORM_MATS[n, a, b]).
+# with their weights, against nine real fields c_n of the surface data.
 _FORM_MATS = np.array([0.25 * np.eye(4)] + [0.25j * gamma(k) for k in range(1, 5)]
                       + [-0.5 * gamma(0) @ gamma(k) for k in range(1, 5)])
-_FORM_TERMS = tuple(
-    tuple((b, tuple((n, complex(f)) for n, f in enumerate(_FORM_MATS[:, a, b]) if f))
-          for b in range(4) if _FORM_MATS[:, a, b].any())
-    for a in range(4))
+# The spinor is Phi = e+ U + e- V with e+- = exp(+-kappa r / 2), U = S(+1)
+# (u+, v+) and V = S(-1) (u-, v-), where S(s) stacks (x0, x1, i s x0, i s x1).
+# For M Hermitian,
+#     <Phi, M Phi> = e^{kappa r} <U, M U> + e^{-kappa r} <V, M V>
+#                    + 2 Re <U, M V>,
+# a real combination of sixteen angular tables of the profiles: |x0|^2,
+# |x1|^2, Re and Im conj(x0) x1 for x = (u+, v+) and for (u-, v-), then Re
+# and Im of conj(x_i) y_j for x = (u+, v+), y = (u-, v-), ij = 00, 01, 10, 11.
+_SPIN = {s: np.array([[1, 0], [0, 1], [1j * s, 0], [0, 1j * s]]) for s in (1, -1)}
+
+
+def _table_coeffs(m):
+    """The coefficients of the sixteen tables in <Phi, m Phi>, m Hermitian,
+    without the radial weights."""
+    pp, mm = (_SPIN[s].conj().T @ m @ _SPIN[s] for s in (1, -1))
+    pm = 2 * (_SPIN[1].conj().T @ m @ _SPIN[-1]).ravel()
+    own = [[x[0, 0].real, x[1, 1].real, 2 * x[0, 1].real, -2 * x[0, 1].imag]
+           for x in (pp, mm)]
+    return np.concatenate(own + [pm.real, -pm.imag])
+
+
+# The nine fields of the surface data are e_1, the four a-terms
+# kappa (a_k1 - g_k1 tr a) and P_{11}..P_{41}.  e_1 plus the first a-term is
+# the coefficient of the identity, so that a-term also enters with
+# _FORM_MATS[0]; in the e^{kappa r} tables every a-term and P_11 cancel
+# exactly, which leaves the leading mode.
+_IDENTITY_COEFFS = np.array([_table_coeffs(m) for m in (
+    _FORM_MATS[0], _FORM_MATS[0] + _FORM_MATS[1], *_FORM_MATS[2:])])  # (9, 16)
+# The power of e^{kappa r} that weights each table, and the tables of each
+# mode: the leading mode is the e^{kappa r} part of the exact integrand.
+_TABLE_POWER = (1,) * 4 + (-1,) * 4 + (0,) * 8
+_MODE_TABLES = {"leading": range(4), "exact": range(16)}
+# The nonzero coefficients (field, coefficient) of each table.
+_IDENTITY_TERMS = tuple(
+    tuple((n, float(c)) for n, c in enumerate(_IDENTITY_COEFFS[:, t]) if c)
+    for t in range(16))
+
+
+def _identity_tables(prof):
+    """The sixteen real angular tables of the profiles (u+, u-, v+, v-), in
+    order, each built when it is asked for."""
+    up, um, vp, vm = prof
+    for x0, x1 in ((up, vp), (um, vm)):
+        x01 = np.conj(x0) * x1
+        yield from (np.abs(x0) ** 2, np.abs(x1) ** 2, x01.real, x01.imag)
+    cross = [np.conj(x) * y for x in (up, vp) for y in (um, vm)]
+    yield from (c.real for c in cross)
+    yield from (c.imag for c in cross)
 
 
 def _identity_surface_value(s: SurfaceData, prof, mode):
-    """One radius of the boundary surface integral, either mode.
+    """The boundary surface integral at every radius of s, either mode.
 
     prof holds the Killing-spinor angular profiles (u+, u-, v+, v-) on the
-    grid of s; r enters only through scalar factors.  The integrand is
-    summed at the nodes and integrated once.  Returns the integral and the
-    integral of the integrand's absolute value.
+    grid of s; r enters only through the weights e^{+-kappa r}.  The
+    integrand sum_t G_t T_t pairs each angular table T_t with a coefficient
+    G_t formed at the data's shape, and is summed at the nodes of every
+    radius at once.  Returns the integrals and the integrals of the
+    integrand's absolute value, each of the shape of s.r.
     """
     k = s.constants
-
-    if mode == "leading":
-        up, _, vp, _ = prof
-        uu, vv, uv = np.abs(up) ** 2, np.abs(vp) ** 2, np.conj(up) * vp
-        _, p21, p31, p41 = s.p1
-        integrand = (0.5 * s.e1 * (uu + vv) + p21 * (uu - vv)
-                     + 2 * p31 * uv.imag + 2 * p41 * uv.real)
-        integrand = integrand * math.exp(k.kappa * s.r)
-    else:
-        # Exact mode: <Phi, M Phi> with the full spinor.  The entries of M
-        # are built at the data's shape S, and M Phi at every node.
-        a = s.a
-        tra = np.einsum("...ii->...", a)
-        g_k1 = np.eye(4)[0] + a[..., :, 0]  # g_{k1} = delta_k1 + a_k1, index k
-        coeff_a = k.kappa * np.moveaxis(a[..., :, 0] - g_k1 * tra[..., None],
-                                        -1, 0)
-        # e_1 + coeff_a[0] is the divergence-minus-trace scalar: the mass
-        # aspect without its kappa correction term.  The h coefficient
-        # h_k1 - g_k1 tr h is the momentum aspect P_{k1}.
-        coeffs = (s.e1 + coeff_a[0], *coeff_a, *s.p1)
-        spinor = _spinor_from_profiles(prof, s.r, k)  # (4,) + grid
-        m_phi = [sum(sum(f * coeffs[n] for n, f in terms) * spinor[b]
-                     for b, terms in row)
-                 for row in _FORM_TERMS]
-        integrand = sum(np.conj(phi_a) * v for phi_a, v in zip(spinor, m_phi))
-    return complex(s.integrate(integrand)), float(s.integrate(np.abs(integrand)))
+    a = s.a
+    tra = np.einsum("...ii->...", a)
+    g_k1 = np.eye(4)[0] + a[..., :, 0]  # g_{k1} = delta_k1 + a_k1, index k
+    coeff_a = k.kappa * np.moveaxis(a[..., :, 0] - g_k1 * tra[..., None], -1, 0)
+    # The rows of _IDENTITY_COEFFS.  The coefficient of the identity matrix,
+    # e_1 + coeff_a[0], is the divergence-minus-trace scalar: the mass aspect
+    # without its kappa correction term.
+    fields = (s.e1, *coeff_a, *s.p1)
+    what = "the Killing spinor weights exp(+-kappa r)"
+    r = np.asarray(s.r, dtype=float)
+    weights = {power: _radial_values(lambda kr: math.exp(power * kr), r, k,
+                                     what).reshape(r.shape + (1, 1, 1))
+               for power in (1, -1)}
+    integrand = np.zeros(r.shape + s.grid.shape)
+    # zip stops at the mode's last table, so the leading mode builds four.
+    for t, table in zip(_MODE_TABLES[mode], _identity_tables(prof)):
+        if not _IDENTITY_TERMS[t]:
+            continue
+        g = sum(c * fields[n] for n, c in _IDENTITY_TERMS[t])
+        if _TABLE_POWER[t]:
+            g = weights[_TABLE_POWER[t]] * g
+        integrand += g * table
+    return s.integrate(integrand), s.integrate(np.abs(integrand))
 
 
 def boundary_identity(
@@ -449,18 +497,15 @@ def boundary_identity(
     """
     if mode not in ("leading", "exact"):
         raise ValueError(f"mode must be 'leading' or 'exact', got {mode!r}")
-    cs, surfaces = charges_and_surfaces(model, q)
-    grid = surfaces[0].grid
+    cs, surface = charges_and_surfaces(model, q)
+    grid = surface.grid
     prof = profiles(lam, grid.theta, grid.psi, grid.phi)
-    vals, abs_vals = zip(*(_identity_surface_value(s, prof, mode)
-                           for s in surfaces))
-    re_vals = [v.real for v in vals]
-    lhs_imag = max(abs(v.imag) for v in vals)
+    re_vals, abs_vals = _identity_surface_value(surface, prof, mode)
     # Like a charge column the data do not source, an integral that stays
     # at quadrature roundoff of its absolute integral is zero; fitted, its
     # noise can read as growth.
     lhs, diverged = 0.0, False
-    if max(map(abs, re_vals)) > ZERO_REL * max(abs_vals):
+    if np.max(np.abs(re_vals)) > ZERO_REL * np.max(abs_vals):
         re_limit = radial_limit(list(zip(q.radii, re_vals)), model.constants)
         lhs, diverged = re_limit.limit, re_limit.diverged
 
@@ -477,10 +522,10 @@ def boundary_identity(
     if np.isfinite(qmat).all():
         q_scale = ((8 * math.pi) * np.vdot(lvec, lvec).real
                    * np.abs(np.linalg.eigvalsh(qmat)).max())
-    scale = np.max([abs(lhs), abs(rhs), q_scale, max(abs_vals)])
+    scale = np.max([abs(lhs), abs(rhs), q_scale, np.max(abs_vals)])
     gap = 0.0 if scale == 0 else abs(lhs - rhs) / scale
     return IdentityReport(
         lhs=float(lhs), rhs=rhs, gap=float(gap), mode=mode,
-        lhs_imag=float(lhs_imag),
+        lhs_imag=0.0,
         diverged=diverged or cs.any_diverged,
     )

@@ -62,11 +62,10 @@ def profiles(lam: KillingParams, theta, psi, phi):
     return u_plus, u_minus, v_plus, v_minus
 
 
-def _spinor_from_profiles(prof, r, k: ModelConstants):
-    """The Killing spinor at radius r (a scalar or an array broadcastable
-    to the angles) from its angular profiles (u+, u-, v+, v-), which carry
-    no r: shape (4,) + broadcast shape."""
-    up, um, vp, vm = prof
+def killing_spinor_grid(lam: KillingParams, r, theta, psi, phi, k: ModelConstants):
+    """Killing spinor components, shape (4,) + broadcast shape of r and the
+    angles: the angular profiles (u+, u-, v+, v-) times exp(+-kappa r / 2)."""
+    up, um, vp, vm = profiles(lam, theta, psi, phi)
     e_plus = np.exp(0.5 * k.kappa * np.asarray(r, dtype=float))
     e_minus = np.exp(-0.5 * k.kappa * np.asarray(r, dtype=float))
     return np.stack(
@@ -77,11 +76,6 @@ def _spinor_from_profiles(prof, r, k: ModelConstants):
             1j * (vp * e_plus - vm * e_minus),
         )
     )
-
-
-def killing_spinor_grid(lam: KillingParams, r, theta, psi, phi, k: ModelConstants):
-    """Killing spinor components, shape (4,) + broadcast angle shape."""
-    return _spinor_from_profiles(profiles(lam, theta, psi, phi), r, k)
 
 
 def killing_spinor(lam: KillingParams, p: SlicePoint, k: ModelConstants) -> np.ndarray:

@@ -20,9 +20,12 @@ from adspet.charges import (
 )
 from adspet.geometry import ModelConstants, NumericalError, QuadratureSpec, sphere_grid
 from adspet.initial_data import (
+    ANGULAR_PROFILES,
     AdsExactModel,
     OffdiagMomentumModel,
     RadialBumpModel,
+    read_grid_file,
+    write_grid_file,
 )
 from adspet.killing import killing_frame_table, killing_radial_scale
 
@@ -302,3 +305,64 @@ def test_overflowing_radial_factors_are_a_numerical_failure(r):
     # OverflowError escaping from math or a non-finite charge.
     with pytest.raises(NumericalError, match="overflow at r = "):
         charge_surface_values(RadialBumpModel(m=0.1, constants=K1), r, 8, 8, 8)
+
+
+# Every bundled model kind: each offdiag_momentum axis and profile.
+BUNDLED = [AdsExactModel(K1), RadialBumpModel(m=0.1, constants=K1),
+           RadialBumpModel(m=0.3, sigma=3.0, constants=ModelConstants(1.7))]
+BUNDLED += [OffdiagMomentumModel(q=0.05, axis=axis, profile=profile,
+                                 constants=K1)
+            for axis in (2, 3, 4) for profile in sorted(ANGULAR_PROFILES)]
+RADII = (4.0, 5.0, 6.5, 7.0)
+
+
+def _check_batched_pass(model, nodes, monkeypatch):
+    # The model's fields are evaluated once, every radius at once; the
+    # result is each radius's own pass, stacked.
+    calls = {}
+    for name in ("a", "h", "da_coord"):
+        def counted(*args, _name=name, _f=getattr(model, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(model, name, counted)
+    batch = charge_surface_values(model, np.array(RADII), *nodes)
+    assert calls == {"a": 1, "h": 1, "da_coord": 1}
+    alone = [charge_surface_values(model, r, *nodes) for r in RADII]
+    assert batch.values.shape == batch.scales.shape == (len(RADII), 15)
+    assert np.array_equal(batch.r, RADII)
+    for i, s in enumerate(alone):
+        assert s.values.shape == (15,) and s.r == RADII[i]
+        tol = 1e-12 * s.scales
+        assert np.all(np.abs(batch.values[i] - s.values) <= tol)
+        assert np.all(np.abs(batch.scales[i] - s.scales) <= tol)
+        # The fields keep their own shapes; spread to every node, radius i
+        # of the batch is the field of radius i alone.
+        grid = s.grid.shape
+        for got, want, head, tail in ((batch.a, s.a, (), (4, 4)),
+                                      (batch.e1, s.e1, (), ()),
+                                      (batch.p1, s.p1, (4,), ())):
+            got = np.broadcast_to(got, head + (len(RADII),) + grid + tail)
+            want = np.broadcast_to(want, head + grid + tail)
+            assert np.allclose(got[(slice(None),) * len(head) + (i,)], want,
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("model", BUNDLED,
+                         ids=[f"{m.name}-{m.params().get('axis', '')}"
+                              f"{m.params().get('profile', m.constants.kappa)}"
+                              for m in BUNDLED])
+def test_batched_surface_pass_matches_each_radius_alone(model, monkeypatch):
+    _check_batched_pass(model, (8, 6, 10), monkeypatch)
+
+
+def test_batched_surface_pass_on_full_shape_data(tmp_path, monkeypatch):
+    # A grid model returns every field at every node (S = B + grid shape):
+    # the case where the reduction sums over nothing.
+    path = tmp_path / "sin_phi.aads"
+    source = OffdiagMomentumModel(q=0.05, axis=3, profile="sin_phi", constants=K1)
+    write_grid_file(path, source, RADII, 8, 6, 10)
+    model = read_grid_file(path)
+    assert model.a(np.array(RADII)[:, None, None, None],
+                   *(getattr(model.grid, x) for x in ("theta", "psi", "phi"))
+                   ).shape == (len(RADII), 8, 6, 10, 4, 4)
+    _check_batched_pass(model, (8, 6, 10), monkeypatch)

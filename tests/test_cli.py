@@ -140,6 +140,22 @@ def test_sample_psd_matches_frozen_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sample_psd_assembles_q_only_at_the_boundary(tmp_path, capsys, monkeypatch):
+    # Q is built for the zero-energy boundary samples the report reads, not
+    # for all n samples.
+    batches = []
+
+    def recording(cs):
+        batches.append(cs.e0.shape)
+        return cli_assemble_q(cs)
+
+    cli_assemble_q = cli.assemble_q
+    monkeypatch.setattr(cli, "assemble_q", recording)
+    assert main(["sample-psd", "--n", "1000", "--seed", "7", "--quiet"]) == 0
+    assert batches == [(0,)]
+    capsys.readouterr()
+
+
 def test_sample_psd_negative_seed_is_usage_error(capsys):
     assert main(["sample-psd", "--seed", "-1", "--n", "5", "--quiet"]) == 2
     assert "expected non-negative integer" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from adspet.charges import CHARGE_NAMES, compute_charges
 from adspet.geometry import (
     DegenerateCoordinateError,
     ModelConstants,
+    NumericalError,
     QuadratureSpec,
     SlicePoint,
     frame_scales,
@@ -164,6 +165,31 @@ def test_surface_integral_quadratic_moment():
     assert grid.integrate(np.cos(grid.theta) ** 2, 1.0, K1) == pytest.approx(
         0.25 * 2 * math.pi**2 * math.sinh(1.0) ** 3, rel=1e-12
     )
+
+
+def test_surface_integral_takes_a_batch_of_radii():
+    # r of shape B integrates a field of shape B + grid shape, or one that
+    # broadcasts to it, at each radius.
+    grid = sphere_grid(8, 6, 10)
+    radii = np.array([[1.0, 2.5], [3.0, 4.0]])
+    field = np.cos(grid.theta) ** 2 + radii[..., None, None, None] * np.sin(grid.phi)
+    got = grid.integrate(field, radii, K1)
+    assert got.shape == radii.shape
+    for i in np.ndindex(radii.shape):
+        assert got[i] == pytest.approx(grid.integrate(field[i], radii[i], K1),
+                                       rel=1e-14)
+    volumes = grid.integrate(1.0, radii, K1)
+    assert volumes.shape == radii.shape
+    for i in np.ndindex(radii.shape):
+        assert volumes[i] == grid.integrate(1.0, radii[i], K1)
+
+
+@pytest.mark.parametrize("r", [300.0, 800.0, (4.0, 300.0, 301.0)])
+def test_surface_integral_overflow_is_a_numerical_failure(r):
+    # sinh(r)^3 overflows a float past r ~ 237: math's OverflowError once
+    # escaped from the public integrate.
+    with pytest.raises(NumericalError, match="overflow at r = (300|800)$"):
+        sphere_grid(8, 8, 8).integrate(1.0, np.asarray(r), K1)
 
 
 def test_surface_integral_rejects_nonfinite():

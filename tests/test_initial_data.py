@@ -9,6 +9,7 @@ import pytest
 from adspet.geometry import (
     DegenerateCoordinateError,
     ModelConstants,
+    NumericalError,
     SlicePoint,
     frame_scales,
     sphere_grid,
@@ -38,6 +39,19 @@ def at(p):
     return (p.r, p.theta, p.psi, p.phi)
 
 
+def e1_of(model, r, theta, psi, phi):
+    """The mass aspect of a model's own fields at the nodes."""
+    nodes = (r, theta, psi, phi)
+    return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), r, theta,
+                            psi, model.constants)
+
+
+def p_of(model, r, theta, psi, phi):
+    """The momentum aspect of a model's own fields at the nodes."""
+    nodes = (r, theta, psi, phi)
+    return momentum_aspect_grid(model.a(*nodes), model.h(*nodes))
+
+
 def bump_e1(m, sigma, kappa, r):
     # Hand-derived closed form for the radial component of the mass aspect
     # of a = f delta: the divergence term contributes f', the trace gradient
@@ -51,8 +65,8 @@ def test_ads_exact_fields_vanish():
     model = AdsExactModel(K1)
     assert np.all(model.a(2.0, 1.0, 1.0, 1.0) == 0.0)
     assert np.all(model.h(2.0, 1.0, 1.0, 1.0) == 0.0)
-    assert mass_aspect_grid(model, *at(P)) == 0.0
-    assert np.all(momentum_aspect_grid(model, *at(P)) == 0.0)
+    assert e1_of(model, *at(P)) == 0.0
+    assert np.all(p_of(model, *at(P)) == 0.0)
 
 
 def test_radial_bump_field_values():
@@ -67,7 +81,7 @@ def test_radial_bump_field_values():
 def test_radial_bump_mass_aspect_closed_form():
     for sigma in (4.0, 3.0):
         model = RadialBumpModel(m=0.1, sigma=sigma, constants=K1)
-        e1 = mass_aspect_grid(model, *at(P))
+        e1 = e1_of(model, *at(P))
         assert e1 == pytest.approx(bump_e1(0.1, sigma, 1.0, P.r), rel=1e-12)
 
 
@@ -75,7 +89,7 @@ def test_radial_bump_mass_aspect_other_kappa():
     k2 = ModelConstants(2.0)
     model = RadialBumpModel(m=0.05, sigma=4.0, constants=k2)
     p = SlicePoint(1.5, 1.0, 1.0, 1.0)
-    e1 = mass_aspect_grid(model, *at(p))
+    e1 = e1_of(model, *at(p))
     assert e1 == pytest.approx(bump_e1(0.05, 4.0, 2.0, 1.5), rel=1e-12)
 
 
@@ -93,7 +107,7 @@ def test_mass_aspect_quadratic_remainder():
     # The aspect has a linear and a quadratic part in the amplitude:
     # E(2m) - 2 E(m) isolates the quadratic term, which scales by 4.
     def e1(m):
-        return mass_aspect_grid(RadialBumpModel(m=m, constants=K1), *at(P))
+        return e1_of(RadialBumpModel(m=m, constants=K1), *at(P))
 
     quad_1 = e1(0.2) - 2.0 * e1(0.1)
     quad_2 = e1(0.4) - 2.0 * e1(0.2)
@@ -103,7 +117,7 @@ def test_mass_aspect_quadratic_remainder():
 def test_offdiag_momentum_aspect():
     model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta",
                                  constants=K1)
-    pa = momentum_aspect_grid(model, *at(P))
+    pa = p_of(model, *at(P))
     expect = 0.05 * math.exp(-4.0 * P.r) * math.sin(P.theta)
     # trace-free field, so the aspect equals h itself
     assert pa[1, 0] == pytest.approx(expect, rel=1e-13)
@@ -121,7 +135,7 @@ def test_momentum_aspect_trace_adjustment():
             return np.broadcast_to(np.eye(4), shape + (4, 4)).copy()
 
     model = DiagH(q=0.0, axis=2, constants=K1)
-    pa = momentum_aspect_grid(model, *at(P))
+    pa = p_of(model, *at(P))
     # h = Id, tr h = 4, a = 0: P = Id - 4 Id = -3 Id
     assert np.allclose(pa, -3.0 * np.eye(4))
 
@@ -280,7 +294,7 @@ def test_mass_aspect_grid_shape():
     model = RadialBumpModel(m=0.1, constants=K1)
     th = np.linspace(0.3, 2.8, 4)[:, None]
     ps = np.linspace(0.3, 2.8, 3)[None, :]
-    out = mass_aspect_grid(model, 3.0, th, ps, 0.5)
+    out = e1_of(model, 3.0, th, ps, 0.5)
     assert out.shape == (4, 3)
 
 
@@ -329,7 +343,7 @@ def test_mass_aspect_frozen_on_angle_dependent_data():
         (3.0, 2.7, 0.3, 5.1): 1.1809406147049255e-05,
     }
     for point, e1 in frozen.items():
-        assert mass_aspect_grid(model, *point) == pytest.approx(e1, rel=1e-12)
+        assert e1_of(model, *point) == pytest.approx(e1, rel=1e-12)
 
 
 def dense_mass_aspect(model, r, theta, psi, phi):
@@ -387,7 +401,7 @@ def test_mass_aspect_closed_form_matches_the_dense_contraction(kappa):
                                        k)]
     for model in models:
         for r in (1.5, 4.0, 7.0):
-            got = mass_aspect_grid(model, r, *angles)
+            got = e1_of(model, r, *angles)
             want, scale = dense_mass_aspect(model, r, *angles)
             assert got.shape == want.shape == grid.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, (model.name, r)
@@ -398,11 +412,49 @@ def test_mass_aspect_rejects_poles_and_nonpositive_radii():
     for r, theta, psi in ((2.0, 0.0, 1.0), (2.0, math.pi, 1.0), (2.0, 1.0, 0.0),
                           (2.0, 1.0, math.pi), (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0)):
         with pytest.raises(DegenerateCoordinateError):
-            mass_aspect_grid(model, r, theta, psi, 0.5)
+            e1_of(model, r, theta, psi, 0.5)
     # One pole node on a grid is enough.
     with pytest.raises(DegenerateCoordinateError, match="theta pole"):
-        mass_aspect_grid(model, 2.0, np.array([0.5, 0.0])[:, None, None],
-                         np.full((1, 3, 1), 1.0), 0.5)
+        e1_of(model, 2.0, np.array([0.5, 0.0])[:, None, None],
+              np.full((1, 3, 1), 1.0), 0.5)
+
+
+@pytest.mark.parametrize("r", [800.0,
+                               np.array([4.0, 800.0, 900.0])[:, None, None, None]])
+def test_mass_aspect_overflow_is_a_numerical_failure(r):
+    # 1/f = kappa / sinh(kappa r) needs sinh, which overflows a float past
+    # r ~ 710: math's OverflowError once escaped from the public function.
+    g = sphere_grid(8, 8, 8)
+    with pytest.raises(NumericalError, match="overflow at r = 800$"):
+        e1_of(RadialBumpModel(m=0.1, constants=K1), r, g.theta, g.psi, g.phi)
+
+
+def test_mass_aspect_takes_a_batch_of_radii():
+    g = sphere_grid(6, 8, 10)
+    radii = np.array([1.5, 4.0, 7.0])
+    model = TiltedModel(0.3)
+    got = e1_of(model, radii[:, None, None, None], g.theta, g.psi, g.phi)
+    assert got.shape == (3,) + g.shape
+    for i, r in enumerate(radii):
+        assert np.array_equal(got[i], e1_of(model, r, g.theta, g.psi, g.phi))
+
+
+def test_grid_model_takes_a_batch_of_radii(tmp_path):
+    # Radii on an axis of their own ahead of the angles give each field at
+    # every listed radius, as the surface pass asks for them.
+    radii = (4.0, 4.3, 5.1, 5.5)
+    path = tmp_path / "data.aads"
+    write_grid_file(path, TiltedModel(0.3), radii, 6, 4, 6)
+    model = read_grid_file(path)
+    g = model.grid
+    angles = (g.theta, g.psi, g.phi)
+    batch = np.array([5.1, 4.0, 5.5])
+    for f in (model.a, model.h, model.da_coord):
+        got = f(batch[:, None, None, None], *angles)
+        want = np.stack([f(r, *angles) for r in batch], axis=-6)
+        assert np.array_equal(got, want), f.__name__
+    with pytest.raises(ValueError, match="own radii"):
+        model.a(np.array([4.0, 4.7])[:, None, None, None], *angles)
 
 
 # Field shapes S of a and h on the 32^3 sphere grid: length 1 along every
@@ -436,7 +488,7 @@ def test_analytic_fields_keep_their_own_angular_shape(model, shape_a, shape_h):
 
 def test_radial_bump_mass_aspect_has_no_phi_axis():
     g = sphere_grid(32, 32, 32)
-    e1 = mass_aspect_grid(RadialBumpModel(m=0.1, constants=K1), 5.0,
+    e1 = e1_of(RadialBumpModel(m=0.1, constants=K1), 5.0,
                           g.theta, g.psi, g.phi)
     assert e1.size <= 32 * 32
     assert np.all(e1 == pytest.approx(bump_e1(0.1, 4.0, 1.0, 5.0), rel=1e-12))

@@ -449,7 +449,7 @@ def test_boundary_identity_mode_validation():
 
 def test_boundary_identity_evaluates_each_surface_once(monkeypatch):
     # One pass gives both the charges and the identity's base-grid data:
-    # one mass-aspect evaluation per radius on each of the two grids.  The
+    # one model evaluation per grid, every radius at once.  The
     # Killing-spinor profiles are built once per call, and the mass aspect
     # does not build the spin connection.
     class CountingBump(RadialBumpModel):
@@ -474,13 +474,15 @@ def test_boundary_identity_evaluates_each_surface_once(monkeypatch):
                             raising=False)
     model = CountingBump(m=0.1, constants=K1)
     grid = sphere_grid(8, 8, 8)
-    assert mass_aspect_grid(model, 5.0, grid.theta, grid.psi, grid.phi).shape == (8, 8, 1)
+    nodes = (5.0, grid.theta, grid.psi, grid.phi)
+    e1 = mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), *nodes[:3], K1)
+    assert e1.shape == (8, 8, 1)
     for mode in ("leading", "exact"):
         CountingBump.calls = 0
         profile_calls.clear()
         rep = boundary_identity(model, KillingParams(1.0, 0.5j, 0.0, -0.3), Q_STD, mode)
         assert rep.gap < 1e-8
-        assert CountingBump.calls == 2 * len(Q_STD.radii)
+        assert CountingBump.calls == 2
         assert len(profile_calls) == 1, mode
 
 
@@ -521,40 +523,100 @@ SURFACE_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("shapes", SURFACE_SHAPES)
-def test_exact_identity_matches_the_nine_bilinears(shapes):
+def _surface_data(shapes, radii, rng):
+    """Hand-built surface data of the given shapes (a, e_1, P_k1) at a radius
+    or an array of radii.  With several radii, e_1 and P_k1 vary with r and
+    a has a radius axis of length 1, which holds at every radius."""
+    a_shape, e_shape, p_shape = shapes
+    lead = np.shape(radii)
+    a = 0.1 * rng.standard_normal((1,) * len(lead) + a_shape + (4, 4))
+    e1 = rng.standard_normal(lead + e_shape)
+    p1 = rng.standard_normal((4,) + lead + p_shape)
+    grid = sphere_grid(*GRID)
+    return SurfaceData(r=radii, grid=grid, constants=K1, a=a, e1=e1, p1=p1,
+                       values=np.zeros(lead + (15,)),
+                       scales=np.zeros(lead + (15,)))
+
+
+def _at_radius(s, i):
+    """The surface data of radius i of a batch, as data of one radius."""
+    lead = np.shape(s.r)
+    fields = [np.broadcast_to(f, head + lead + f.shape[len(head) + len(lead):])
+              [(slice(None),) * len(head) + i]
+              for f, head in ((s.a, ()), (s.e1, ()), (s.p1, (4,)))]
+    return SurfaceData(np.asarray(s.r)[i], s.grid, s.constants, *fields,
+                       values=np.zeros(15), scales=np.zeros(15))
+
+
+@pytest.mark.parametrize(
+    "shapes,radii",
+    [(shapes, 5.0) for shapes in SURFACE_SHAPES]
+    + [(shapes, (4.0, 5.5, 7.0)) for shapes in SURFACE_SHAPES],
+    ids=[f"shapes{i}" for i in range(len(SURFACE_SHAPES))]
+    + [f"shapes{i}-radii" for i in range(len(SURFACE_SHAPES))])
+def test_exact_identity_matches_the_nine_bilinears(shapes, radii):
     # The exact-mode integrand as the sum of nine spinor bilinears
     # <Phi, M Phi>, each evaluated at every node, against the one Hermitian
-    # form built at the data's own shape.
-    a_shape, e_shape, p_shape = shapes
+    # form built at the data's own shape.  A batch of radii is one call,
+    # and each of its radii is checked against the oracle at that radius.
     rng = np.random.default_rng(sum(map(sum, shapes)))
-    a = 0.1 * rng.standard_normal(a_shape + (4, 4))
-    e1 = rng.standard_normal(e_shape)
-    p1 = rng.standard_normal((4,) + p_shape)
-    grid = sphere_grid(*GRID)
-    s = SurfaceData(r=5.0, grid=grid, constants=K1, a=a, e1=e1, p1=p1,
-                    values=np.zeros(15), scales=np.zeros(15))
+    radii = radii if np.ndim(radii) == 0 else np.array(radii)
+    batch = _surface_data(shapes, radii, rng)
+    grid = batch.grid
     lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    value, abs_value = _identity_surface_value(
-        s, profiles(lam, grid.theta, grid.psi, grid.phi), "exact")
+    values, abs_values = map(np.asarray, _identity_surface_value(
+        batch, profiles(lam, grid.theta, grid.psi, grid.phi), "exact"))
+    assert values.shape == abs_values.shape == np.shape(radii)
 
-    spinor = killing_spinor_grid(lam, 5.0, grid.theta, grid.psi, grid.phi, K1)
-    mats = ([np.eye(4)] + [gamma(k) for k in range(1, 5)]
-            + [gamma(0) @ gamma(k) for k in range(1, 5)])
-    bil = [np.einsum("a...,ab,b...->...", np.conj(spinor), m, spinor)
-           for m in mats]
-    tra = np.trace(a, axis1=-2, axis2=-1)
-    coeff = [K1.kappa * (a[..., k, 0] - ((k == 0) + a[..., k, 0]) * tra)
-             for k in range(4)]
-    integrand = (0.25 * (e1 + coeff[0]) * bil[0]
-                 + 0.25j * sum(c * b for c, b in zip(coeff, bil[1:5]))
-                 - 0.5 * sum(p * b for p, b in zip(p1, bil[5:])))
-    expected = s.integrate(integrand)
-    expected_abs = s.integrate(np.abs(integrand))
+    for i in np.ndindex(np.shape(radii)):
+        s = _at_radius(batch, i)
+        a, e1, p1, r = s.a, s.e1, s.p1, s.r
+        spinor = killing_spinor_grid(lam, r, grid.theta, grid.psi, grid.phi, K1)
+        mats = ([np.eye(4)] + [gamma(k) for k in range(1, 5)]
+                + [gamma(0) @ gamma(k) for k in range(1, 5)])
+        bil = [np.einsum("a...,ab,b...->...", np.conj(spinor), m, spinor)
+               for m in mats]
+        tra = np.trace(a, axis1=-2, axis2=-1)
+        coeff = [K1.kappa * (a[..., k, 0] - ((k == 0) + a[..., k, 0]) * tra)
+                 for k in range(4)]
+        integrand = (0.25 * (e1 + coeff[0]) * bil[0]
+                     + 0.25j * sum(c * b for c, b in zip(coeff, bil[1:5]))
+                     - 0.5 * sum(p * b for p, b in zip(p1, bil[5:])))
+        expected = s.integrate(integrand)
+        expected_abs = s.integrate(np.abs(integrand))
 
-    assert expected_abs > 0
-    assert abs(value - expected) <= 1e-12 * expected_abs
-    assert abs(abs_value - expected_abs) <= 1e-12 * expected_abs
+        assert expected_abs > 0
+        assert abs(values[i] - expected) <= 1e-12 * expected_abs
+        assert abs(abs_values[i] - expected_abs) <= 1e-12 * expected_abs
+
+
+@pytest.mark.parametrize("shapes", SURFACE_SHAPES)
+def test_leading_identity_is_the_old_formula(shapes):
+    # The leading mode is the e^{kappa r} part of the exact integrand; the
+    # formula it replaced, at each radius:
+    #   e^{kappa r} (0.5 e_1 (|u+|^2 + |v+|^2) + P_21 (|u+|^2 - |v+|^2)
+    #                + 2 P_31 Im(conj(u+) v+) + 2 P_41 Re(conj(u+) v+)).
+    rng = np.random.default_rng(sum(map(sum, shapes)) + 1)
+    radii = np.array([4.0, 5.0, 6.0, 7.0])
+    batch = _surface_data(shapes, radii, rng)
+    grid = batch.grid
+    lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    prof = profiles(lam, grid.theta, grid.psi, grid.phi)
+    values, abs_values = _identity_surface_value(batch, prof, "leading")
+
+    up, _, vp, _ = prof
+    uu, vv, uv = np.abs(up) ** 2, np.abs(vp) ** 2, np.conj(up) * vp
+    for i in np.ndindex(radii.shape):
+        s = _at_radius(batch, i)
+        _, p21, p31, p41 = s.p1
+        integrand = (0.5 * s.e1 * (uu + vv) + p21 * (uu - vv)
+                     + 2 * p31 * uv.imag + 2 * p41 * uv.real)
+        integrand = integrand * math.exp(K1.kappa * s.r)
+        expected = s.integrate(integrand)
+        expected_abs = s.integrate(np.abs(integrand))
+        assert expected_abs > 0
+        assert abs(values[i] - expected) <= 1e-12 * expected_abs
+        assert abs(abs_values[i] - expected_abs) <= 1e-12 * expected_abs
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
