@@ -9,13 +9,14 @@ doubled grid, with every radius at once: the radius is a batch axis ahead
 of the angles, and a single radius is a batch of shape ().  The boundary
 identity reads the same pass.
 
-The Killing tables are built once per grid.  Data that keep their own
-angular shape S are contracted at S, against the tables summed over every
-angle along which S has length 1, so no field is spread to the full grid;
-all radii go through one matrix product per table.  r enters only through
-scalars: the radial factors of each charge, and coth and 1/f in the mass
-aspect.  The same reduction of |table| gives each charge's absolute
-integral, the scale on which a column is judged to be quadrature roundoff.
+The Killing tables and the mass aspect's angular factors are built once
+per grid.  Data that keep their own angular shape S are contracted at S,
+against the tables summed over every angle along which S has length 1, so
+no field is spread to the full grid; all radii go through one np.vecdot per
+table.  r enters only through scalars, evaluated once per (radii, kappa):
+the radial factors of each charge, and coth and 1/f in the mass aspect.
+The same reduction of |table| gives each charge's absolute integral, the
+scale on which a column is judged to be quadrature roundoff.
 """
 
 from __future__ import annotations
@@ -32,12 +33,17 @@ from .geometry import (
     QuadratureSpec,
     RadialLimit,
     SphereGrid,
-    _area_factor,
     _radial_values,
     radial_limit,
     sphere_grid,
 )
-from .initial_data import InitialDataModel, mass_aspect_grid, momentum_aspect_grid
+from .initial_data import (
+    InitialDataModel,
+    _angular_factors,
+    _mass_aspect,
+    _mass_aspect_scalars,
+    momentum_aspect_grid,
+)
 from .killing import killing_frame_table, killing_radial_scale
 
 __all__ = [
@@ -209,11 +215,13 @@ ZERO_REL = 1e-12
 @dataclass(frozen=True)
 class _ChargeTables:
     """Per-grid Killing tables: node weights times the angular factors of
-    the frame components, so every radius reduces with one contraction."""
+    the frame components, so every radius reduces with one contraction; and
+    the mass aspect's angular factors on the grid."""
 
     grid: SphereGrid
     e: np.ndarray        # (5,) + grid shape: against e_1
     p: np.ndarray        # (10, 3) + grid shape: against P_{21}, P_{31}, P_{41}
+    angular: tuple       # initial_data._angular_factors at the grid's nodes
 
 
 @functools.lru_cache(maxsize=2)
@@ -225,9 +233,10 @@ def _charge_tables(ntheta: int, npsi: int, nphi: int,
                   for label in _E_LABELS])
     p = np.stack([killing_frame_table(label, *angles, k)[1:] * grid.weights
                   for label in _P_LABELS])
-    e.setflags(write=False)
-    p.setflags(write=False)
-    return _ChargeTables(grid=grid, e=e, p=p)
+    angular = _angular_factors(grid.theta, grid.psi)
+    for table in (e, p, *angular):
+        table.setflags(write=False)
+    return _ChargeTables(grid=grid, e=e, p=p, angular=angular)
 
 
 # The grid axes along which data of a given shape are constant: at most 8
@@ -316,22 +325,30 @@ class SurfaceData:
 
 def _radial_factors(r, k: ModelConstants) -> np.ndarray:
     """The fifteen radial factors of the surface integrals at each radius of
-    r (shape B), shape B + (15,): the Killing fields' cosh or sinh(kappa r),
-    the area factor f^3 and the prefactors.
+    r (shape B), shape B + (15,), read-only: the Killing fields' cosh or
+    sinh(kappa r), the area factor f^3 and the prefactors.
 
     Raises NumericalError where one of them overflows a float; the aspects
     are not evaluated past that radius.
     """
-    what = "the radial factors of the surface integrals"
     r = np.asarray(r, dtype=float)
-    cosh, sinh = (_radial_values(fn, r, k, what)[..., None]
-                  for fn in (math.cosh, math.sinh))
-    area = _area_factor(r, k, what)[..., None]
+    table = _radial_factor_table(tuple(r.ravel().tolist()), k)
+    return table.reshape(r.shape + (15,))
+
+
+@functools.lru_cache(maxsize=8)
+def _radial_factor_table(radii: tuple, k: ModelConstants) -> np.ndarray:
+    """_radial_factors at the radii of a tuple, once per (radii, kappa)."""
+    what = "the radial factors of the surface integrals"
+    r = np.array(radii)
+    cosh, sinh, area = (_radial_values(name, r, k, what)[..., None]
+                        for name in ("cosh", "sinh", "area"))
     with np.errstate(over="ignore"):
         out = np.where(_COSH, cosh, sinh) * (_PREFACTOR * k.kappa * area)
     overflow = np.isinf(out).any(axis=-1)
     if overflow.any():
         raise NumericalError(f"{what} overflow at r = {r[overflow].flat[0]:g}")
+    out.setflags(write=False)
     return out
 
 
@@ -348,11 +365,14 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     """
     k = model.constants
     r = np.asarray(radii, dtype=float)
+    r_nodes = r.reshape(r.shape + (1, 1, 1))
     radial = _radial_factors(r, k)
-    grid = _charge_tables(ntheta, npsi, nphi, k).grid
-    nodes = (r.reshape(r.shape + (1, 1, 1)), grid.theta, grid.psi, grid.phi)
+    scalars = _mass_aspect_scalars(r_nodes, k)
+    tables = _charge_tables(ntheta, npsi, nphi, k)
+    grid = tables.grid
+    nodes = (r_nodes, grid.theta, grid.psi, grid.phi)
     a = model.a(*nodes)
-    e1 = mass_aspect_grid(a, model.da_coord(*nodes), *nodes[:3], k)
+    e1 = _mass_aspect(a, model.da_coord(*nodes), scalars, tables.angular, k)
     p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)

@@ -23,7 +23,6 @@ from .geometry import ModelConstants, NumericalError, QuadratureSpec, SlicePoint
 from .initial_data import decay_validate, model_from_config
 from .killing import ALL_LABELS, killing_residual, normalize_label
 from .qmatrix import (
-    assemble_q,
     boundary_identity,
     rigidity_check,
     sample_momenta,
@@ -70,10 +69,77 @@ def _resolved_config(args, extra=None):
     return cfg
 
 
+def _json_float(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_dict(value, pad: str) -> str:
+    if not value:
+        return "{}"
+    inner = pad + "  "
+    items = []
+    for key in sorted(value):
+        item = value[key]
+        encode = _JSON_SCALARS.get(type(item))
+        items.append(_json_string(key) + ": " + (
+            encode(item) if encode is not None else _json(item, inner)))
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+
+
+def _json_list(value, pad: str) -> str:
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    items = [encode(item) if (encode := _JSON_SCALARS.get(type(item))) is not None
+             else _json(item, inner) for item in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+# json's own string escaper (its C version where available), ASCII-only as
+# json.dumps writes by default; it raises TypeError on a key that is not a str.
+_json_string = json.encoder.encode_basestring_ascii
+# The writer of each scalar type of a report, by exact type.  numpy's
+# float64, which its scalar arithmetic returns, is a float subclass.
+_JSON_SCALARS = {
+    str: _json_string,
+    float: _json_float,
+    np.float64: _json_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_JSON_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list}
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) of a report, at the
+    nesting whose indent is `pad`: the same bytes, without json's
+    pure-Python encoder, which its indent option runs.
+
+    A report holds dicts with str keys, lists, tuples, str, int, float and
+    numpy.float64 (NaN and +-inf written as json writes them), bool and
+    None; any other type raises TypeError.
+    """
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    write = _JSON_CONTAINERS.get(type(value))
+    if write is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                        "serializable")
+    return write(value, pad)
+
+
 def _emit(report, args):
     if args.out:
         # One write: json.dump would make hundreds of small ones.
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json(report) + "\n"
         with open(args.out, "w") as fh:
             fh.write(text)
 
@@ -354,17 +420,12 @@ def _cmd_identity(args):
 
 
 def _cmd_sample_psd(args):
-    e0, c, cp, j, delta = sample_momenta(args.seed, args.n)
+    e0, c, cp, j, _ = sample_momenta(args.seed, args.n)
     cs = ChargeSet(e0=e0, c=c, cp=cp, j=j)
     b = theorem_bounds(cs, args.variant)
     worst = float(b.margin.min())
     failures = int(np.count_nonzero(~b.satisfied))
     min_clamped = float(np.min(derived(cs).a_total - 2 * math.sqrt(2) * b.w))
-    boundary = (delta == 0.0) & (e0 < 1e-12)
-    at_boundary = ChargeSet(e0=e0[boundary], c=c[boundary], cp=cp[boundary],
-                            j=j[boundary])
-    qnorm = np.linalg.norm(assemble_q(at_boundary), axis=(-2, -1))
-    boundary_max_q = float(qnorm.max(initial=0.0))
     passed = failures == 0
     _say(args, f"{args.n - failures}/{args.n} bound checks pass "
                f"(variant {args.variant})")
@@ -376,7 +437,6 @@ def _cmd_sample_psd(args):
         "failures": failures,
         "worst_margin": worst,
         "min_a_minus_2sqrt2_w": min_clamped,
-        "boundary_zero_energy_max_qnorm": boundary_max_q,
         "passed": passed,
     }
     _emit(report, args)

@@ -5,13 +5,18 @@ sin^2 psi dphi^2)) with f(r) = sinh(kappa r)/kappa; the ambient static
 metric adds -cosh^2(kappa r) dt^2.  Surface integrals over the geodesic
 spheres S_r use a Gauss-Legendre product rule in (theta, psi) and a uniform
 periodic rule in phi.  Radial limits are taken by a three-point
-exponential fit L + b exp(-beta kappa r), whose decay rate beta is found by
-bisection on a monotone function of beta; numpy and the standard library
-are the only dependencies.
+exponential fit L + b exp(-beta kappa r): its decay rate beta is read from
+x = exp(-beta kappa (r2 - r1)), the root of a monotone function of x found
+by a safeguarded Newton iteration; numpy and the standard library are the
+only dependencies.
+
+The scalar functions of kappa r that the surface integrals read are
+evaluated once per (radii, kappa) and cached (_radial_table).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,8 +57,8 @@ class ModelConstants:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,8 @@ class QuadratureSpec:
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if len(self.radii) < 3:
             raise ValueError("at least 3 radii are required")
+        if not all(map(math.isfinite, self.radii)):
+            raise ValueError(f"radii must be finite, got {self.radii}")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
         if not self.rel_tol > 0:
@@ -113,43 +120,76 @@ def frame_scales(r, theta, psi, k: ModelConstants) -> np.ndarray:
                                         f_th * np.sin(psi)))
 
 
-def _require_regular(r, sin_theta, sin_psi, what: str):
+def _require_off_poles(sin_theta, sin_psi):
     """Raise DegenerateCoordinateError at a theta or psi pole, where the
-    frame is singular, and at r <= 0; `what` names the quantity."""
+    frame is singular."""
     if np.any(np.abs(sin_theta) < _POLE_TOL):
         raise DegenerateCoordinateError("evaluation at a theta pole")
     if np.any(np.abs(sin_psi) < _POLE_TOL):
         raise DegenerateCoordinateError("evaluation at a psi pole")
+
+
+def _require_positive(r, what: str):
+    """Raise DegenerateCoordinateError where r <= 0; `what` names the
+    quantity."""
     if np.any(np.asarray(r) <= 0):
         raise DegenerateCoordinateError(f"{what} needs r > 0")
 
 
-def _radial_values(fn, r, k: ModelConstants, what: str) -> np.ndarray:
-    """fn(kappa r) at every radius of r (a float or an array), in r's shape.
+# The scalar functions of x = kappa r, given kappa, that the surface
+# integrals read: the Killing fields' radial factors, the area factor f^3
+# with f = sinh(kappa r)/kappa, the connection scalars kappa coth(kappa r)
+# and 1/f of the mass aspect, and the spinor weights exp(+-kappa r).
+_RADIAL_FUNCTIONS = {
+    "cosh": lambda x, kappa: math.cosh(x),
+    "sinh": lambda x, kappa: math.sinh(x),
+    "area": lambda x, kappa: (math.sinh(x) / kappa) ** 3,
+    "coth": lambda x, kappa: kappa / math.tanh(x),
+    "inv_f": lambda x, kappa: kappa / math.sinh(x),
+    "exp": lambda x, kappa: math.exp(x),
+    "exp_neg": lambda x, kappa: math.exp(-x),
+}
 
-    fn is a scalar function of the math module: numpy's vectorised cosh,
-    sinh and exp may round differently in the last bit, and a value at one
-    radius should not depend on the batch it came in.  Raises NumericalError
-    naming the first radius at which fn overflows a float; `what` names the
-    quantity.
+
+@functools.lru_cache(maxsize=8)
+def _radial_table(radii: tuple, kappa: float) -> dict:
+    """Every function of _RADIAL_FUNCTIONS at every radius of `radii`:
+    name -> (read-only values of shape (len(radii),), the first radius at
+    which the function overflows a float, or None).
+
+    Each value is computed by the math module, one radius at a time: numpy's
+    vectorised cosh, sinh and exp may round differently in the last bit, and
+    a value at one radius should not depend on the batch it came in.
+    """
+    table = {}
+    for name, fn in _RADIAL_FUNCTIONS.items():
+        values, overflow = [], None
+        for r in radii:
+            try:
+                value = fn(kappa * r, kappa)
+            except (OverflowError, ZeroDivisionError):  # coth and 1/f at 0
+                value = math.inf
+            if math.isinf(value) and overflow is None:
+                overflow = r
+            values.append(value)
+        values = np.array(values)
+        values.setflags(write=False)
+        table[name] = (values, overflow)
+    return table
+
+
+def _radial_values(name: str, r, k: ModelConstants, what: str) -> np.ndarray:
+    """The function `name` of _RADIAL_FUNCTIONS at every radius of r (a
+    float or an array), in r's shape, read-only; `what` names the quantity.
+
+    Raises NumericalError naming the first radius at which it overflows a
+    float.
     """
     r = np.asarray(r, dtype=float)
-    out = []
-    for x in r.flat:
-        try:
-            value = fn(k.kappa * x)
-        except OverflowError:
-            value = math.inf
-        if math.isinf(value):
-            raise NumericalError(f"{what} overflow at r = {x:g}")
-        out.append(value)
-    return np.array(out).reshape(r.shape)
-
-
-def _area_factor(r, k: ModelConstants, what: str) -> np.ndarray:
-    """f^3 = (sinh(kappa r) / kappa)^3, the radial factor of the area form of
-    S_r, at every radius of r; NumericalError where it overflows."""
-    return _radial_values(lambda kr: (math.sinh(kr) / k.kappa) ** 3, r, k, what)
+    values, overflow = _radial_table(tuple(r.ravel().tolist()), k.kappa)[name]
+    if overflow is not None:
+        raise NumericalError(f"{what} overflow at r = {overflow:g}")
+    return values.reshape(r.shape)
 
 
 def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
@@ -162,12 +202,13 @@ def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    _require_regular(r, np.sin(theta), np.sin(psi), "spin connection")
+    _require_off_poles(np.sin(theta), np.sin(psi))
+    _require_positive(r, "spin connection")
     shape = np.broadcast(theta, psi).shape
     omega = np.zeros((4, 4, 4) + shape)
-    kr = k.kappa * r
-    coth = k.kappa / math.tanh(kr)
-    inv_f = k.kappa / math.sinh(kr)
+    what = "the spin connection"
+    coth = _radial_values("coth", r, k, what)
+    inv_f = _radial_values("inv_f", r, k, what)
     ones = np.ones(shape)
     # Radial family: omega_{a1 a} = kappa coth(kappa r), a = 2, 3, 4.
     for a in (1, 2, 3):
@@ -220,7 +261,7 @@ class SphereGrid:
             raise ValueError(f"r must be positive, got {r}")
         values = np.broadcast_to(values, r.shape + self.shape)
         self.require_finite(values)
-        area = _area_factor(r, k, "the area factors of S_r")
+        area = _radial_values("area", r, k, "the area factors of S_r")
         return np.sum(values * self.weights, axis=(-3, -2, -1)) * area
 
 
@@ -261,12 +302,58 @@ class RadialLimit:
     beta: float | None = None
 
 
+# The decay-rate bracket of the fit: beta in [1e-8, 60].
+_BETA_BRACKET = (1e-8, 60.0)
+
+
+def _increment_ratio(x, q):
+    """G(x) = x (1 - x^q) / (1 - x) and dG/dx, for 0 < x < 1 and q > 0.
+
+    Through v = L + b x^((r - r1)/(r2 - r1)) at r1 < r2 < r3, with q =
+    (r3 - r2)/(r2 - r1), G(x) is the ratio (v3 - v2)/(v2 - v1).  It rises
+    from 0 at x -> 0 to q at x -> 1, and is x itself on equal spacing
+    (q = 1).  With s = 1 - x and t = 1 - x^q, written without cancellation,
+    G = x t / s and dG/dx = (t - q (1 - t) s) / s^2.
+    """
+    s = 1.0 - x
+    t = -math.expm1(q * math.log(x))
+    return x * t / s, (t - q * (1.0 - t) * s) / (s * s)
+
+
+def _solve_increment_ratio(ratio, q, lo, hi):
+    """The root x in [lo, hi] of G(x) = ratio, G(lo) <= ratio <= G(hi).
+
+    Newton's method from x = ratio, kept inside a bracket that every
+    evaluation narrows; a step that leaves the bracket bisects it instead.
+    On equal spacing G(x) = x, so the first step lands on the root.
+    """
+    x = min(max(ratio, lo), hi)
+    for _ in range(100):
+        g, dg = _increment_ratio(x, q)
+        f = g - ratio
+        if f > 0:
+            hi = x
+        elif f < 0:
+            lo = x
+        else:
+            return x
+        # A slope that is not positive (roundoff near x = 1) bisects.
+        step = -f / dg if dg > 0 else math.nan
+        x_new = x + step
+        if not lo < x_new < hi:  # also a NaN step
+            x_new = 0.5 * (lo + hi)
+        elif abs(step) <= 1e-14 * x:
+            return x_new
+        x = x_new
+    return x
+
+
 def _fit_triple(rs, vs, kappa):
     """Fit v = L + b exp(-beta kappa r) through three points.
 
     Returns (limit, residual, beta): the fitted limit with residual None, or
     v3 with residual |v3 - v2| and beta None when no decaying exponential
-    passes through the points.
+    with beta in [1e-8, 60] passes through the points.
     """
     r1, r2, r3 = rs
     v1, v2, v3 = vs
@@ -276,33 +363,23 @@ def _fit_triple(rs, vs, kappa):
     if abs(d1) < 1e-14 * scale or abs(d2) < 1e-14 * scale:
         return float(v3), abs(d2), None
     ratio = d2 / d1
-    # d2/d1 falls from (r3 - r2)/(r2 - r1) at beta -> 0 to 0 at beta -> oo.
-    if not 0 < ratio < (r3 - r2) / (r2 - r1):
+    q = (r3 - r2) / (r2 - r1)
+    # d2/d1 = G(x) with x = exp(-beta kappa (r2 - r1)), which falls from q at
+    # beta -> 0 to 0 at beta -> oo.
+    if not 0 < ratio < q:
         # Not a monotone decaying exponential; take the last value.
         return float(v3), abs(d2), None
-
-    h2, h3 = kappa * (r2 - r1), kappa * (r3 - r1)
-
-    def g(beta):
-        x2 = math.exp(-beta * h2)
-        return (math.exp(-beta * h3) - x2) / (x2 - 1.0) - ratio
-
-    # g decreases in beta; bisect its sign change on [lo, hi].
-    lo, hi = 1e-8, 60.0
-    g_lo = g(lo)
-    if g_lo * g(hi) > 0:
+    h2 = kappa * (r2 - r1)
+    # The x of each end of the beta bracket, kept inside (0, 1) where
+    # exp(-60 h2) underflows or exp(-1e-8 h2) rounds to 1.
+    lo = max(math.exp(-_BETA_BRACKET[1] * h2), math.ulp(0.0))
+    hi = min(math.exp(-_BETA_BRACKET[0] * h2), math.nextafter(1.0, 0.0))
+    if _increment_ratio(lo, q)[0] > ratio or _increment_ratio(hi, q)[0] < ratio:
         return float(v3), abs(d2), None
-    beta = 0.5 * (lo + hi)
-    while hi - lo > 1e-14 + 1e-14 * beta:
-        if g(beta) * g_lo > 0:
-            lo = beta
-        else:
-            hi = beta
-        beta = 0.5 * (lo + hi)
-    x2 = math.exp(-beta * h2)
-    x3 = math.exp(-beta * h3)
-    b = d2 / (x3 - x2)
-    return float(v3 - b * x3), None, beta
+    x = _solve_increment_ratio(ratio, q, lo, hi)
+    # v3 - L = b x^(1 + q) = d2 x^q / (x^q - 1).
+    xq = x**q
+    return float(v3 + d2 * xq / (1.0 - xq)), None, -math.log(x) / h2
 
 
 def radial_limit(values: Sequence, k: ModelConstants) -> RadialLimit:

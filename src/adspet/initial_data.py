@@ -16,7 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ModelConstants, _radial_values, _require_regular, sphere_grid
+from .geometry import (
+    ModelConstants,
+    _radial_values,
+    _require_off_poles,
+    _require_positive,
+    sphere_grid,
+)
 
 __all__ = [
     "InitialDataModel",
@@ -361,22 +367,52 @@ def mass_aspect_grid(a, da, r, theta, psi, k: ModelConstants) -> np.ndarray:
               - tr da_r - kappa (a00 - (1 + a00) tr a).
 
     The angular factors keep the shape of theta and psi, so e_1 has the
-    data's own shape along phi.  Raises NumericalError naming the radius
-    where 1/f overflows a float (kappa r past about 710).
+    data's own shape along phi.  Raises DegenerateCoordinateError at a
+    pole or at r <= 0, and NumericalError naming the radius where 1/f
+    overflows a float (kappa r past about 710).
+    """
+    angular = _angular_factors(theta, psi)
+    return _mass_aspect(a, da, _mass_aspect_scalars(r, k), angular, k)
+
+
+def _angular_factors(theta, psi) -> tuple:
+    """The angular factors of e_1 at broadcastable (theta, psi): sin theta,
+    sin theta sin psi, 2 cot theta and cot psi / sin theta.
+
+    Raises DegenerateCoordinateError at a theta or psi pole.  The sphere
+    grid's nodes avoid the poles; its factors are built once per grid.
     """
     theta = np.asarray(theta, dtype=float)
     psi = np.asarray(psi, dtype=float)
     sin_th, sin_ps = np.sin(theta), np.sin(psi)
-    _require_regular(r, sin_th, sin_ps, "the mass aspect")
+    _require_off_poles(sin_th, sin_ps)
+    sin_th_ps = sin_th * sin_ps
+    return (sin_th, sin_th_ps, 2 * np.cos(theta) / sin_th,
+            np.cos(psi) / sin_th_ps)
+
+
+def _mass_aspect_scalars(r, k: ModelConstants) -> tuple:
+    """coth = kappa coth(kappa r) and 1/f = kappa / sinh(kappa r) at every
+    radius of r (a float or an array), each in r's shape.
+
+    Raises DegenerateCoordinateError at r <= 0 and NumericalError naming
+    the first radius at which one of them overflows a float.
+    """
+    _require_positive(r, "the mass aspect")
     what = "the radial scalars of the mass aspect"
-    coth = _radial_values(lambda kr: k.kappa / math.tanh(kr), r, k, what)
-    inv_f = _radial_values(lambda kr: k.kappa / math.sinh(kr), r, k, what)
+    return tuple(_radial_values(name, r, k, what) for name in ("coth", "inv_f"))
+
+
+def _mass_aspect(a, da, scalars, angular, k: ModelConstants) -> np.ndarray:
+    """e_1 of mass_aspect_grid, from its radial scalars (coth, 1/f) and its
+    angular factors (_angular_factors)."""
+    coth, inv_f = scalars
+    sin_th, sin_th_ps, two_cot_th, cot_ps_sin_th = angular
     div = da[0][..., 0, 0] + inv_f * (da[1][..., 0, 1] + da[2][..., 0, 2] / sin_th
-                                      + da[3][..., 0, 3] / (sin_th * sin_ps))
+                                      + da[3][..., 0, 3] / sin_th_ps)
     div = (div - coth * (a[..., 1, 1] + a[..., 2, 2] + a[..., 3, 3])
            + 3 * coth * a[..., 0, 0]
-           + inv_f * (2 * np.cos(theta) / sin_th * a[..., 0, 1]
-                      + np.cos(psi) / (sin_ps * sin_th) * a[..., 0, 2]))
+           + inv_f * (two_cot_th * a[..., 0, 1] + cot_ps_sin_th * a[..., 0, 2]))
     grad_tr = np.einsum("...ii->...", da[0])
     tra = np.einsum("...ii->...", a)
     correction = k.kappa * (a[..., 0, 0] - (1.0 + a[..., 0, 0]) * tra)

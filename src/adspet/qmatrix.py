@@ -98,6 +98,13 @@ class PsdReport:
     leading_minors: np.ndarray    # shape B+(4,)
 
 
+# _LEADING_BLOCKS[k - 1] marks the leading k x k block of a 4 x 4 matrix.
+# Built from Python lists: a numpy ufunc here, at import, would page in its
+# loops on every command, about 0.25 MB of resident memory.
+_LEADING_BLOCKS = np.array([[[max(i, j) < k for j in range(4)] for i in range(4)]
+                            for k in range(1, 5)])
+
+
 def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
     """Eigenvalue PSD test cross-checked against leading principal minors.
 
@@ -115,8 +122,10 @@ def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
         raise NumericalError("psd_check requires a Hermitian matrix")
     eig = np.linalg.eigvalsh(qmat)
     scale = np.abs(eig).max(axis=-1)
-    minors = np.stack([np.linalg.det(qmat[..., :k, :k]).real for k in range(1, 5)],
-                      axis=-1)
+    # The k x k leading minor is the determinant of Q with its rows and
+    # columns past k replaced by the identity's: one det call for all four.
+    minors = np.linalg.det(np.where(_LEADING_BLOCKS, qmat[..., None, :, :],
+                                    np.eye(4))).real
     psd_eig = eig[..., 0] >= -rel_tol * scale
     psd_minor = np.all(minors >= -rel_tol * scale[..., None] ** np.arange(1, 5),
                        axis=-1)
@@ -242,7 +251,6 @@ def theorem_bounds(cs: ChargeSet, variant: str = "proof",
 class RigidityReport:
     in_domain: bool | np.ndarray     # E0 negligible and Q PSD
     q_frobenius: float | np.ndarray
-    vanishes: bool | np.ndarray
     q: np.ndarray                    # the charge matrix the verdict reads
     psd: PsdReport                   # its PSD check
 
@@ -250,25 +258,25 @@ class RigidityReport:
         return {
             "in_domain": self.in_domain,
             "q_frobenius": self.q_frobenius,
-            "vanishes": self.vanishes,
         }
 
 
 def rigidity_check(cs: ChargeSet, rel_tol: float = 1e-10) -> RigidityReport:
-    """If the energy vanishes and Q is PSD, the whole matrix must vanish.
+    """The rigidity hypothesis: the energy vanishes and Q is PSD.
 
-    E0 and |Q|_F are judged against rel_tol s, with s the largest |eigenvalue|
-    of Q as in psd_check, so Q = 0 is in the domain and vanishes, and a tiny
-    Q is judged on its own scale.
+    E0 is judged against rel_tol s, with s the largest |eigenvalue| of Q as
+    in psd_check, so Q = 0 is in the domain and a tiny Q is judged on its
+    own scale.  Where it holds, Q vanishes, so that is no separate verdict:
+    every eigenvalue is at least -rel_tol s and their sum, tr Q = 4 E0, at
+    most 4 rel_tol s, which leaves s = 0.
     """
     qmat = assemble_q(cs)
     psd = psd_check(qmat, rel_tol)
     cutoff = rel_tol * np.abs(psd.eigenvalues).max(axis=-1)
-    qnorm = np.linalg.norm(qmat, axis=(-2, -1))
     in_domain = (cs.e0 <= cutoff) & psd.psd
     return RigidityReport(
-        in_domain=_scalar(in_domain), q_frobenius=qnorm,
-        vanishes=_scalar(in_domain & (qnorm <= cutoff)), q=qmat, psd=psd,
+        in_domain=_scalar(in_domain),
+        q_frobenius=np.linalg.norm(qmat, axis=(-2, -1)), q=qmat, psd=psd,
     )
 
 
@@ -469,9 +477,8 @@ def _identity_surface_value(s: SurfaceData, prof, mode):
     fields = (s.e1, *coeff_a, *s.p1)
     what = "the Killing spinor weights exp(+-kappa r)"
     r = np.asarray(s.r, dtype=float)
-    weights = {power: _radial_values(lambda kr: math.exp(power * kr), r, k,
-                                     what).reshape(r.shape + (1, 1, 1))
-               for power in (1, -1)}
+    weights = {power: _radial_values(name, r, k, what).reshape(r.shape + (1, 1, 1))
+               for power, name in ((1, "exp"), (-1, "exp_neg"))}
     integrand = np.zeros(r.shape + s.grid.shape)
     # zip stops at the mode's last table, so the leading mode builds four.
     for t, table in zip(_MODE_TABLES[mode], _identity_tables(prof)):

@@ -11,6 +11,8 @@ from adspet.charges import (
     ChargeSet,
     _COSH,
     _PREFACTOR,
+    _charge_tables,
+    _radial_factor_table,
     _radial_factors,
     _reduced_table,
     _surface_integrals,
@@ -18,12 +20,22 @@ from adspet.charges import (
     compute_charges,
     derived,
 )
-from adspet.geometry import ModelConstants, NumericalError, QuadratureSpec, sphere_grid
+from adspet.geometry import (
+    _RADIAL_FUNCTIONS,
+    DegenerateCoordinateError,
+    ModelConstants,
+    NumericalError,
+    QuadratureSpec,
+    _radial_table,
+    _radial_values,
+    sphere_grid,
+)
 from adspet.initial_data import (
     ANGULAR_PROFILES,
     AdsExactModel,
     OffdiagMomentumModel,
     RadialBumpModel,
+    mass_aspect_grid,
     read_grid_file,
     write_grid_file,
 )
@@ -305,6 +317,52 @@ def test_overflowing_radial_factors_are_a_numerical_failure(r):
     # OverflowError escaping from math or a non-finite charge.
     with pytest.raises(NumericalError, match="overflow at r = "):
         charge_surface_values(RadialBumpModel(m=0.1, constants=K1), r, 8, 8, 8)
+
+
+def test_cached_grid_and_radial_arrays_are_read_only():
+    # The caches hand the same arrays to every caller.
+    radii = np.array([4.0, 5.0, 6.0])
+    arrays = [*_charge_tables(8, 8, 8, K1).angular, _radial_factors(radii, K1)]
+    arrays += [_radial_values(name, radii, K1, "test") for name in _RADIAL_FUNCTIONS]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
+def test_errors_are_raised_on_a_cache_hit_as_on_a_miss():
+    model = RadialBumpModel(m=0.1, constants=K1)
+    grid = sphere_grid(8, 8, 8)
+
+    def e1(r, theta=grid.theta, psi=grid.psi):
+        nodes = (r, theta, psi, grid.phi)
+        return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes),
+                                *nodes[:3], K1)
+
+    # Warm the grid's tables and the radial scalars at r = 4.
+    e1(4.0)
+    charge_surface_values(model, 4.0, 8, 8, 8)
+    cases = [
+        (lambda: e1(4.0, theta=np.array([0.5, 0.0])[:, None, None]),
+         DegenerateCoordinateError, "theta pole"),
+        (lambda: e1(0.0), DegenerateCoordinateError, "needs r > 0"),
+        (lambda: charge_surface_values(model, np.array([-1.0, 4.0]), 8, 8, 8),
+         DegenerateCoordinateError, "needs r > 0"),
+        (lambda: e1(np.array([4.0, 800.0])[:, None, None, None]),
+         NumericalError, "overflow at r = 800$"),
+        (lambda: charge_surface_values(model, np.array([4.0, 800.0]), 8, 8, 8),
+         NumericalError, "overflow at r = 800$"),
+        (lambda: grid.integrate(1.0, 300.0, K1), NumericalError,
+         "overflow at r = 300$"),
+    ]
+    for call, error, match in cases:
+        for attempt in ("miss", "hit"):
+            hits = (_radial_table.cache_info().hits
+                    + _radial_factor_table.cache_info().hits)
+            with pytest.raises(error, match=match):
+                call()
+            if attempt == "hit" and error is NumericalError:
+                assert (_radial_table.cache_info().hits
+                        + _radial_factor_table.cache_info().hits) > hits
 
 
 # Every bundled model kind: each offdiag_momentum axis and profile.

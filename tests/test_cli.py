@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from adspet import cli
@@ -125,7 +126,6 @@ FROZEN_SAMPLE_PSD = {
     "failures": 0,
     "worst_margin": 0.6175608336401517,
     "min_a_minus_2sqrt2_w": -3.5954097710848494,
-    "boundary_zero_energy_max_qnorm": 0.0,
 }
 
 
@@ -137,22 +137,6 @@ def test_sample_psd_matches_frozen_report(tmp_path, capsys):
     assert data["failures"] == FROZEN_SAMPLE_PSD["failures"]
     for key, val in FROZEN_SAMPLE_PSD.items():
         assert abs(data[key] - val) <= 1e-12 * abs(val), key
-    capsys.readouterr()
-
-
-def test_sample_psd_assembles_q_only_at_the_boundary(tmp_path, capsys, monkeypatch):
-    # Q is built for the zero-energy boundary samples the report reads, not
-    # for all n samples.
-    batches = []
-
-    def recording(cs):
-        batches.append(cs.e0.shape)
-        return cli_assemble_q(cs)
-
-    cli_assemble_q = cli.assemble_q
-    monkeypatch.setattr(cli, "assemble_q", recording)
-    assert main(["sample-psd", "--n", "1000", "--seed", "7", "--quiet"]) == 0
-    assert batches == [(0,)]
     capsys.readouterr()
 
 
@@ -343,3 +327,76 @@ def test_overflowing_radii_are_a_numerical_failure(capsys, command, radii):
     err = capsys.readouterr().err
     assert "numerical failure: " in err and "overflow" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--radii", "4,5,nan,7"],
+                                   ["--radii", "4,5,6,inf"],
+                                   ["--kappa", "inf"]])
+def test_nonfinite_radii_and_kappa_are_usage_errors(capsys, flags):
+    # A NaN radius passed the strictly-increasing check and kappa = inf the
+    # positivity check; each then failed inside the surface pass, exit 4.
+    assert main(["bound", "--model", BUMP, *flags, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+# A model config that is valid JSON with a string the writer must escape:
+# quotes, commas, brackets and non-ASCII text.
+NOTED = ('{"name": "radial_bump", "params": {"m": 0.1}, '
+         '"note": "\\"a\\", [b], {c}: \u03ba \u2192 \u221e, \u00e9"}')
+
+
+def test_report_writer_matches_json(tmp_path, capsys, monkeypatch):
+    # Every subcommand's report, written by the CLI's own writer, is the
+    # bytes of json.dumps(report, sort_keys=True, indent=2) plus a newline.
+    charges = tmp_path / "charges.json"
+    assert main(["charges", "--model", BUMP, *SMALL, "--out", str(charges),
+                 "--quiet"]) == 0
+    diverging = '{"name": "radial_bump", "params": {"m": 0.1, "sigma": 2.5}}'
+    calls = [
+        ["verify", "clifford"],
+        ["verify", "spinors", "--samples", "3"],
+        ["verify", "killing", "--label", "4,0", "--samples", "2"],
+        ["charges", "--model", NOTED, *SMALL],
+        ["qmatrix", "--charges", str(charges)],
+        ["bound", "--model", NOTED, *SMALL],
+        ["bound", "--model", OFFDIAG, *SMALL],
+        ["bound", "--model", diverging, *SMALL],
+        ["identity", "--model", diverging, "--lambda=1,0,0,0,0,0,0,0", *SMALL],
+        ["identity", "--model", BUMP, "--lambda=1,0,0,0,0,0,0,0", "--mode",
+         "exact", *SMALL],
+        ["sample-psd", "--n", "20", "--seed", "4"],
+        ["decay", "--model", '{"name": "ads_exact"}'],
+    ]
+    reports = []
+    emit = cli._emit
+
+    def recording(report, args):
+        reports.append(report)
+        emit(report, args)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    out = tmp_path / "report.json"
+    for argv in calls:
+        reports.clear()
+        main([*argv, "--out", str(out), "--quiet"])
+        assert len(reports) == 1, argv
+        want = json.dumps(reports[0], sort_keys=True, indent=2) + "\n"
+        assert out.read_bytes() == want.encode(), argv
+        assert (NOTED not in argv) or "\\u03ba \\u2192" in want
+    capsys.readouterr()
+
+
+def test_report_writer_matches_json_on_every_type():
+    report = {
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "none": None,
+        "empty_list": [], "empty_dict": {}, "numpy": np.float64(0.1) / 3,
+        "numpy_nan": np.float64("nan"), "ints": [0, -3, 2**70],
+        "bools": [True, False], "tuple": (1.5, "x"), "zero": -0.0,
+        "model": json.loads(NOTED)["note"] + " \x7f\t\n\\",
+        "nested": {"b": [[1e-300, 1e300], {}], "a": {"z": [], "y": [None]}},
+    }
+    assert cli._json(report) == json.dumps(report, sort_keys=True, indent=2)
+    for value in (np.float32(1.0), np.int64(3), {1: 2}):
+        with pytest.raises(TypeError):
+            cli._json({"x": value})

@@ -23,6 +23,10 @@ UNCALLED_EXPORTS = {
     # criterion 7 compares with the eigensolver on sampled charge sets.
     "third_minor_sum",
     "det_closed_form",
+    # The mass aspect of fields evaluated at any (r, theta, psi), with its
+    # pole and radius checks.  The charges read the same formula with the
+    # angular factors of their grid, built once per grid.
+    "mass_aspect_grid",
 }
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from adspet import geometry
 from adspet.charges import CHARGE_NAMES, compute_charges
 from adspet.geometry import (
     DegenerateCoordinateError,
@@ -23,10 +24,9 @@ K1 = ModelConstants(1.0)
 
 
 def test_constants_validation():
-    with pytest.raises(ValueError):
-        ModelConstants(0.0)
-    with pytest.raises(ValueError):
-        ModelConstants(-1.0)
+    for kappa in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModelConstants(kappa)
 
 
 def test_slice_point_ranges():
@@ -48,6 +48,10 @@ def test_quadrature_spec_validation():
         QuadratureSpec(radii=(4.0, 5.0))
     with pytest.raises(ValueError):
         QuadratureSpec(ntheta=2)
+    for radii in ((4.0, 5.0, math.nan, 7.0), (math.nan, 5.0, 6.0),
+                  (4.0, 5.0, math.inf), (-math.inf, 5.0, 6.0)):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(radii=radii)
 
 
 def test_frame_scales():
@@ -269,6 +273,57 @@ def test_radial_limit_matches_aitken_on_equal_radii(kappa, r0, h):
     rl = radial_limit(list(zip(rs, vs)), k)
     assert rl.beta == pytest.approx(-math.log(d2 / d1) / (kappa * h), rel=1e-12)
     assert rl.limit == pytest.approx(vs[2] - d2**2 / (d2 - d1), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa,r0,h", [(1.0, 4.0, 1.0), (0.7, 2.0, 0.5),
+                                        (2.0, 3.0, 1.7)])
+def test_fit_takes_one_newton_step_on_equal_radii(kappa, r0, h, monkeypatch):
+    # On equal radii d2/d1 = x = exp(-beta kappa h) itself: the ratio is
+    # evaluated at the two ends of the beta bracket and once at the start
+    # x = d2/d1, whose Newton step is at roundoff and ends the iteration.
+    calls = []
+
+    def counted(x, q):
+        calls.append(x)
+        return increment_ratio(x, q)
+
+    increment_ratio = geometry._increment_ratio
+    monkeypatch.setattr(geometry, "_increment_ratio", counted)
+    rs = [r0, r0 + h, r0 + 2 * h]
+    vs = [0.4 + 1.3 * math.exp(-kappa * r) - 0.6 * math.exp(-2.5 * kappa * r)
+          for r in rs]
+    rl = radial_limit(list(zip(rs, vs)), ModelConstants(kappa))
+    assert rl.beta is not None and len(calls) == 3
+    assert calls[-1] == (vs[2] - vs[1]) / (vs[1] - vs[0])
+
+
+@pytest.mark.parametrize("kappa,radii,beta,rel", [
+    # Near the top of the bracket [1e-8, 60]: a fast decay over close radii.
+    (1.0, (4.0, 4.1, 4.3), 59.0, 1e-13),
+    (1.3, (3.5, 4.0, 6.5), 50.0 / 6.5, 1e-13),
+    # Near the bottom: the data barely change, which limits the accuracy of
+    # any fit to about 1e-16 / (beta kappa (r2 - r1)).
+    (0.5, (2.0, 3.0, 5.5), 1e-4, 1e-8),
+    (1.3, (2.0, 3.5, 4.0), 1e-3, 1e-8),
+])
+def test_fit_on_unequal_radii_near_the_ends_of_the_bracket(kappa, radii, beta,
+                                                           rel):
+    k = ModelConstants(kappa)
+    vals = [(r, 0.5 + 3.0 * math.exp(-beta * kappa * (r - radii[0])))
+            for r in radii]
+    rl = radial_limit(vals, k)
+    assert rl.beta == pytest.approx(beta, rel=rel)
+    assert abs(rl.limit - 0.5) <= rel * 3.0 / (beta * kappa)
+
+
+def test_fit_on_radii_closer_than_the_bracket_resolves():
+    # exp(-1e-8 kappa (r2 - r1)) rounds to 1 when r2 - r1 < 1e-8: the fit
+    # once divided by zero there, and the CLI ended in a traceback.  The first
+    # difference is 4e-12 of the values, so the fit keeps about 4 digits.
+    vals = [(r, 0.5 + 3.0 * math.exp(-2.0 * r)) for r in (4.0, 4.0 + 1e-9, 5.0)]
+    rl = radial_limit(vals, K1)
+    assert rl.beta == pytest.approx(2.0, rel=1e-3)
+    assert rl.limit == pytest.approx(0.5, rel=1e-6)
 
 
 @pytest.mark.parametrize("vals", [

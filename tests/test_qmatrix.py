@@ -285,10 +285,10 @@ def test_sampler_draws_are_the_per_sample_streams(seed):
 
 
 def test_rigidity_trivial_and_boundary():
-    assert rigidity_check(charge_set(e0=0.0)).vanishes
+    assert rigidity_check(charge_set(e0=0.0)).in_domain
     # zero energy with nonzero momentum is not PSD, hence out of domain
     rep = rigidity_check(charge_set(e0=0.0, c4=1.0))
-    assert not rep.in_domain and not rep.vanishes
+    assert not rep.in_domain
     # strictly positive energy: the hypothesis never fires
     rep2 = rigidity_check(charge_set(e0=1.0))
     assert not rep2.in_domain
@@ -305,11 +305,11 @@ def test_verdicts_scale_with_the_charges():
     assert psd_check(assemble_q(zero)).psd
     assert theorem_bounds(zero).satisfied
     rep = rigidity_check(zero)
-    assert rep.in_domain and rep.vanishes and rep.q_frobenius == 0.0
+    assert rep.in_domain and rep.q_frobenius == 0.0
     # E0 = 1e-13 with zero momenta is Q = 1e-13 Id: the energy is the whole
-    # scale of Q, so it does not vanish and the rigidity hypothesis fails.
+    # scale of Q, so the rigidity hypothesis fails.
     rep = rigidity_check(charge_set(e0=1e-13))
-    assert not rep.in_domain and not rep.vanishes
+    assert not rep.in_domain
     # Every verdict is invariant under scaling all charges together: PSD
     # samples, and the same samples with min eig Q = -1e-3.
     e0, c, cp, j, delta = sample_momenta(9, 40)
@@ -360,7 +360,7 @@ def test_batched_arithmetic_matches_each_set_alone():
     rigid = rigidity_check(cs)
     assert q.shape == (200, 4, 4)
     assert not np.all(psd.psd) and np.any(psd.psd)
-    assert np.any(rigid.vanishes)
+    assert np.any(rigid.in_domain)
     for i in range(200):
         one = ChargeSet(e0=float(cs.e0[i]), c=cs.c[i], cp=cs.cp[i], j=cs.j[i])
         d1 = derived(one)
@@ -382,8 +382,8 @@ def test_batched_arithmetic_matches_each_set_alone():
         _assert_same(third[i], third_minor_sum(one), (i, "third"))
         _assert_same(det[i], det_closed_form(one), (i, "det"))
         r1 = rigidity_check(one)
-        assert isinstance(r1.in_domain, bool) and isinstance(r1.vanishes, bool)
-        for name in ("in_domain", "q_frobenius", "vanishes"):
+        assert isinstance(r1.in_domain, bool)
+        for name in ("in_domain", "q_frobenius"):
             _assert_same(getattr(rigid, name)[i], getattr(r1, name), (i, name))
 
 
