@@ -9,11 +9,12 @@ doubled grid, with every radius at once: the radius is a batch axis ahead
 of the angles, and a single radius is a batch of shape ().  The boundary
 identity reads the same pass.
 
-The Killing tables and the mass aspect's angular factors are built once
-per grid.  Data that keep their own angular shape S are contracted at S,
-against the tables summed over every angle along which S has length 1, so
-no field is spread to the full grid; all radii go through one np.vecdot per
-table.  r enters only through scalars, evaluated once per (radii, kappa):
+e_1 comes from initial_data.mass_aspect_grid, the library's one mass-aspect
+function.  The Killing tables and the mass aspect's angular factors are
+built once per grid.  Data that keep their own angular shape S are
+contracted at S, against the tables summed over every angle along which S
+has length 1, so no field is spread to the full grid; all radii go through
+one np.vecdot per table.  r enters only through scalars, evaluated once per (radii, kappa):
 the radial factors of each charge, and coth and 1/f in the mass aspect.
 The same reduction of |table| gives each charge's absolute integral, the
 scale on which a column is judged to be quadrature roundoff.
@@ -39,9 +40,8 @@ from .geometry import (
 )
 from .initial_data import (
     InitialDataModel,
-    _angular_factors,
-    _mass_aspect,
-    _mass_aspect_scalars,
+    angular_factors,
+    mass_aspect_grid,
     momentum_aspect_grid,
 )
 from .killing import killing_frame_table, killing_radial_scale
@@ -221,7 +221,7 @@ class _ChargeTables:
     grid: SphereGrid
     e: np.ndarray        # (5,) + grid shape: against e_1
     p: np.ndarray        # (10, 3) + grid shape: against P_{21}, P_{31}, P_{41}
-    angular: tuple       # initial_data._angular_factors at the grid's nodes
+    angular: tuple       # initial_data.angular_factors at the grid's nodes
 
 
 @functools.lru_cache(maxsize=2)
@@ -233,7 +233,7 @@ def _charge_tables(ntheta: int, npsi: int, nphi: int,
                   for label in _E_LABELS])
     p = np.stack([killing_frame_table(label, *angles, k)[1:] * grid.weights
                   for label in _P_LABELS])
-    angular = _angular_factors(grid.theta, grid.psi)
+    angular = angular_factors(grid.theta, grid.psi)
     for table in (e, p, *angular):
         table.setflags(write=False)
     return _ChargeTables(grid=grid, e=e, p=p, angular=angular)
@@ -328,8 +328,9 @@ def _radial_factors(r, k: ModelConstants) -> np.ndarray:
     r (shape B), shape B + (15,), read-only: the Killing fields' cosh or
     sinh(kappa r), the area factor f^3 and the prefactors.
 
-    Raises NumericalError where one of them overflows a float; the aspects
-    are not evaluated past that radius.
+    Raises DegenerateCoordinateError at r <= 0 and NumericalError where one
+    of them overflows a float, so a bad radius is rejected before a model's
+    fields are evaluated there.
     """
     r = np.asarray(r, dtype=float)
     table = _radial_factor_table(tuple(r.ravel().tolist()), k)
@@ -367,12 +368,11 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     r = np.asarray(radii, dtype=float)
     r_nodes = r.reshape(r.shape + (1, 1, 1))
     radial = _radial_factors(r, k)
-    scalars = _mass_aspect_scalars(r_nodes, k)
     tables = _charge_tables(ntheta, npsi, nphi, k)
     grid = tables.grid
     nodes = (r_nodes, grid.theta, grid.psi, grid.phi)
     a = model.a(*nodes)
-    e1 = _mass_aspect(a, model.da_coord(*nodes), scalars, tables.angular, k)
+    e1 = mass_aspect_grid(a, model.da_coord(*nodes), r_nodes, tables.angular, k)
     p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)

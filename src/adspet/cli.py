@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _add_quadrature_flags(p):
     p.add_argument("--ntheta", type=int, default=16)
     p.add_argument("--npsi", type=int, default=16)
@@ -165,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = add("verify", help="run a verification suite")
     pv.add_argument("what", choices=["clifford", "spinors", "killing"])
-    pv.add_argument("--samples", type=int, default=100)
+    pv.add_argument("--samples", type=_positive_int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--label", type=str, default=None,
                     help="restrict killing verification to one label a,b")
@@ -405,6 +412,10 @@ def _cmd_identity(args):
     vals = [float(x) for x in args.lam.split(",")]
     if len(vals) != 8:
         print("error: --lambda needs 8 comma-separated values", file=sys.stderr)
+        return EXIT_USAGE
+    if not all(map(math.isfinite, vals)):
+        print(f"error: --lambda values must be finite, got {args.lam}",
+              file=sys.stderr)
         return EXIT_USAGE
     lam = KillingParams(*(complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)))
     rep = boundary_identity(model, lam, q, args.mode)

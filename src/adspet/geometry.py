@@ -129,13 +129,6 @@ def _require_off_poles(sin_theta, sin_psi):
         raise DegenerateCoordinateError("evaluation at a psi pole")
 
 
-def _require_positive(r, what: str):
-    """Raise DegenerateCoordinateError where r <= 0; `what` names the
-    quantity."""
-    if np.any(np.asarray(r) <= 0):
-        raise DegenerateCoordinateError(f"{what} needs r > 0")
-
-
 # The scalar functions of x = kappa r, given kappa, that the surface
 # integrals read: the Killing fields' radial factors, the area factor f^3
 # with f = sinh(kappa r)/kappa, the connection scalars kappa coth(kappa r)
@@ -182,11 +175,16 @@ def _radial_values(name: str, r, k: ModelConstants, what: str) -> np.ndarray:
     """The function `name` of _RADIAL_FUNCTIONS at every radius of r (a
     float or an array), in r's shape, read-only; `what` names the quantity.
 
-    Raises NumericalError naming the first radius at which it overflows a
-    float.
+    Raises DegenerateCoordinateError at r <= 0, where the frame is singular,
+    and NumericalError naming the first radius at which the function
+    overflows a float.  So a caller that looks up its radial factors before
+    evaluating a model's fields rejects a bad radius before the model sees it.
     """
     r = np.asarray(r, dtype=float)
-    values, overflow = _radial_table(tuple(r.ravel().tolist()), k.kappa)[name]
+    radii = tuple(r.ravel().tolist())
+    if any(x <= 0 for x in radii):
+        raise DegenerateCoordinateError(f"{what}: the frame needs r > 0")
+    values, overflow = _radial_table(radii, k.kappa)[name]
     if overflow is not None:
         raise NumericalError(f"{what} overflow at r = {overflow:g}")
     return values.reshape(r.shape)
@@ -203,7 +201,6 @@ def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     psi = np.asarray(psi, dtype=float)
     _require_off_poles(np.sin(theta), np.sin(psi))
-    _require_positive(r, "spin connection")
     shape = np.broadcast(theta, psi).shape
     omega = np.zeros((4, 4, 4) + shape)
     what = "the spin connection"

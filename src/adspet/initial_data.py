@@ -4,7 +4,11 @@ A model carries the metric perturbation a_ij and the second fundamental
 form h_ij as frame-component fields over (r, theta, psi, phi), a decay
 order tau, and the curvature scale.  The mass aspect combines covariant
 divergence and trace terms of a; the momentum aspect is the trace-adjusted
-h.  Grid models are read from the "AADS-ID v1" text format.
+h.  `mass_aspect_grid` is the library's one e_1 function: the charges call
+it with the angular factors of their grid (`angular_factors`), built once
+per grid.  Decay validation and the grid-file writer, like the surface
+pass, evaluate each field once, with every radius at once.  Grid models
+are read from the "AADS-ID v1" text format.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .geometry import (
     ModelConstants,
     _radial_values,
     _require_off_poles,
-    _require_positive,
     sphere_grid,
 )
 
@@ -33,6 +36,7 @@ __all__ = [
     "ANGULAR_PROFILES",
     "model_registry",
     "model_from_config",
+    "angular_factors",
     "mass_aspect_grid",
     "momentum_aspect_grid",
     "decay_validate",
@@ -54,6 +58,14 @@ def _leading_axes(x, *coords) -> np.ndarray:
     axes of broadcast(*coords); numpy broadcasting aligns them the same way."""
     x = np.asarray(x, dtype=float)
     return x.reshape((1,) * (_ndim(*coords) - x.ndim) + x.shape)
+
+
+def _finite(name: str, value) -> float:
+    """A model parameter as a float; ValueError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _zero_field(r, theta, psi, phi, lead=()) -> np.ndarray:
@@ -156,8 +168,8 @@ class RadialBumpModel(InitialDataModel):
         if not sigma > 2:
             raise ValueError(f"sigma must exceed 2, got {sigma}")
         super().__init__(sigma, constants)
-        self.m = float(m)
-        self.sigma = float(sigma)
+        self.m = _finite("m", m)
+        self.sigma = _finite("sigma", sigma)
 
     def _profile(self, r, theta, psi, phi):
         f = self.m * np.exp(-self.sigma * self.constants.kappa
@@ -197,10 +209,10 @@ class OffdiagMomentumModel(InitialDataModel):
         if not sigma > 2:
             raise ValueError(f"sigma must exceed 2, got {sigma}")
         super().__init__(sigma, constants)
-        self.q = float(q)
+        self.q = _finite("q", q)
         self.axis = int(axis)
         self.profile = profile
-        self.sigma = float(sigma)
+        self.sigma = _finite("sigma", sigma)
 
     def a(self, r, theta, psi, phi):
         return _zero_field(r, theta, psi, phi)
@@ -256,6 +268,8 @@ class GridModel(InitialDataModel):
                  constants: ModelConstants, path: str | None = None):
         super().__init__(tau, constants)
         self.radii = np.asarray(radii, dtype=float)
+        if not np.all(np.isfinite(self.radii)):
+            raise ValueError(f"grid radii must be finite, got {self.radii}")
         if len(self.radii) < 3 or np.any(np.diff(self.radii) <= 0):
             raise ValueError("grid radii must be >= 3 and strictly increasing")
         self.grid = sphere_grid(ntheta, npsi, nphi)
@@ -321,7 +335,12 @@ class GridModel(InitialDataModel):
 
 def model_registry(name: str, params: dict | None = None,
                    constants: ModelConstants = ModelConstants()) -> InitialDataModel:
-    """Construct a bundled model by name; bad params raise ValueError."""
+    """Construct a bundled model by name; a name that is not a string,
+    params that are not a dict or None, and bad params raise ValueError."""
+    if not isinstance(name, str):
+        raise ValueError(f"model name must be a string, got {name!r}")
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"model params must be an object, got {params!r}")
     params = dict(params or {})
     if name == "grid":
         return read_grid_file(params["file"])
@@ -339,14 +358,34 @@ def model_from_config(config, constants: ModelConstants = ModelConstants()):
     """Build a model from a JSON object/string {"name": ..., "params": {...}}."""
     if isinstance(config, str):
         config = json.loads(config)
+    if not isinstance(config, dict):
+        raise ValueError(f"a model config must be a JSON object, got {config!r}")
     return model_registry(config["name"], config.get("params"), constants)
 
 
-def mass_aspect_grid(a, da, r, theta, psi, k: ModelConstants) -> np.ndarray:
+def angular_factors(theta, psi) -> tuple:
+    """The angular factors of e_1 at broadcastable (theta, psi): sin theta,
+    sin theta sin psi, 2 cot theta and cot psi / sin theta, each in the
+    broadcast shape of its angles.
+
+    Raises DegenerateCoordinateError at a theta or psi pole.  The sphere
+    grid's nodes avoid the poles; the charges build its factors once per
+    grid.
+    """
+    theta = np.asarray(theta, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    sin_th, sin_ps = np.sin(theta), np.sin(psi)
+    _require_off_poles(sin_th, sin_ps)
+    sin_th_ps = sin_th * sin_ps
+    return (sin_th, sin_th_ps, 2 * np.cos(theta) / sin_th,
+            np.cos(psi) / sin_th_ps)
+
+
+def mass_aspect_grid(a, da, r, angular: tuple, k: ModelConstants) -> np.ndarray:
     """Radial mass aspect e_1 of the fields a (shape S + (4, 4)) and their
     coordinate derivatives da ((4,) + S + (4, 4)), as a model's `a` and
-    `da_coord` return them at (r, theta, psi, phi); shape broadcast(S,
-    theta, psi).
+    `da_coord` return them at (r, theta, psi, phi), with `angular` =
+    angular_factors(theta, psi); shape broadcast(S, theta, psi).
 
     r > 0 is a radius or an array of radii that broadcasts against the
     angles, as the model was evaluated at, e.g. shape B + (1, 1, 1) on the
@@ -367,46 +406,13 @@ def mass_aspect_grid(a, da, r, theta, psi, k: ModelConstants) -> np.ndarray:
               - tr da_r - kappa (a00 - (1 + a00) tr a).
 
     The angular factors keep the shape of theta and psi, so e_1 has the
-    data's own shape along phi.  Raises DegenerateCoordinateError at a
-    pole or at r <= 0, and NumericalError naming the radius where 1/f
-    overflows a float (kappa r past about 710).
+    data's own shape along phi.  The radial scalars come from the cached
+    table of geometry._radial_values, which raises DegenerateCoordinateError
+    at r <= 0 and NumericalError naming the radius where 1/f overflows a
+    float (kappa r past about 710).
     """
-    angular = _angular_factors(theta, psi)
-    return _mass_aspect(a, da, _mass_aspect_scalars(r, k), angular, k)
-
-
-def _angular_factors(theta, psi) -> tuple:
-    """The angular factors of e_1 at broadcastable (theta, psi): sin theta,
-    sin theta sin psi, 2 cot theta and cot psi / sin theta.
-
-    Raises DegenerateCoordinateError at a theta or psi pole.  The sphere
-    grid's nodes avoid the poles; its factors are built once per grid.
-    """
-    theta = np.asarray(theta, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    sin_th, sin_ps = np.sin(theta), np.sin(psi)
-    _require_off_poles(sin_th, sin_ps)
-    sin_th_ps = sin_th * sin_ps
-    return (sin_th, sin_th_ps, 2 * np.cos(theta) / sin_th,
-            np.cos(psi) / sin_th_ps)
-
-
-def _mass_aspect_scalars(r, k: ModelConstants) -> tuple:
-    """coth = kappa coth(kappa r) and 1/f = kappa / sinh(kappa r) at every
-    radius of r (a float or an array), each in r's shape.
-
-    Raises DegenerateCoordinateError at r <= 0 and NumericalError naming
-    the first radius at which one of them overflows a float.
-    """
-    _require_positive(r, "the mass aspect")
     what = "the radial scalars of the mass aspect"
-    return tuple(_radial_values(name, r, k, what) for name in ("coth", "inv_f"))
-
-
-def _mass_aspect(a, da, scalars, angular, k: ModelConstants) -> np.ndarray:
-    """e_1 of mass_aspect_grid, from its radial scalars (coth, 1/f) and its
-    angular factors (_angular_factors)."""
-    coth, inv_f = scalars
+    coth, inv_f = (_radial_values(name, r, k, what) for name in ("coth", "inv_f"))
     sin_th, sin_th_ps, two_cot_th, cot_ps_sin_th = angular
     div = da[0][..., 0, 0] + inv_f * (da[1][..., 0, 1] + da[2][..., 0, 2] / sin_th
                                       + da[3][..., 0, 3] / sin_th_ps)
@@ -447,7 +453,6 @@ class DecayReport:
 
 
 def _decay_exponent(norms, radii, kappa):
-    norms = np.asarray(norms)
     if np.max(norms) < 1e-300:
         return None
     logs = np.log(np.maximum(norms, 1e-300))
@@ -466,17 +471,14 @@ def decay_validate(model: InitialDataModel, radii: Sequence[float],
         grid = model.grid
     else:
         grid = sphere_grid(ntheta, npsi, nphi)
-    na, nda, nh = [], [], []
-    for r in radii:
-        a = model.a(r, grid.theta, grid.psi, grid.phi)
-        h = model.h(r, grid.theta, grid.psi, grid.phi)
-        da = model.da_coord(r, grid.theta, grid.psi, grid.phi)
-        na.append(np.max(np.abs(a)))
-        nh.append(np.max(np.abs(h)))
-        nda.append(np.max(np.abs(da[0])))
-    sa = _decay_exponent(na, radii, k.kappa)
-    sda = _decay_exponent(nda, radii, k.kappa)
-    sh = _decay_exponent(nh, radii, k.kappa)
+    # Every radius at once, on an axis of its own ahead of the angles.  The
+    # largest |component| on each sphere has length 1 for a field that does
+    # not depend on r, whose exponent is then 0 as with equal norms.
+    nodes = (np.reshape(radii, (-1, 1, 1, 1)), grid.theta, grid.psi, grid.phi)
+    sa, sda, sh = (_decay_exponent(np.max(np.abs(f), axis=(-5, -4, -3, -2, -1)),
+                                   radii, k.kappa)
+                   for f in (model.a(*nodes), model.da_coord(*nodes)[0],
+                             model.h(*nodes)))
     vacuous = sa is None and sda is None and sh is None
     threshold = model.tau - 0.1
     passed = model.tau > 2 and all(
@@ -490,12 +492,12 @@ def write_grid_file(path, model: InitialDataModel, radii, ntheta, npsi, nphi,
                     tau=None):
     """Write an AADS-ID v1 file, sampling a model on the given grid."""
     grid = sphere_grid(ntheta, npsi, nphi)
-    angles = (grid.theta, grid.psi, grid.phi)
+    r = np.asarray(radii, dtype=float).reshape(-1, 1, 1, 1)
+    shape = (len(r),) + grid.shape + (4, 4)
     rows, cols = zip(*SYM_ORDER)
     # One row per node: the SYM_ORDER components of a, then those of h.
     table = np.concatenate([
-        np.stack([np.broadcast_to(f(r, *angles), grid.shape + (4, 4))
-                  for r in radii])[..., rows, cols]
+        np.broadcast_to(f(r, grid.theta, grid.psi, grid.phi), shape)[..., rows, cols]
         for f in (model.a, model.h)
     ], axis=-1).reshape(-1, 20)
     with open(path, "w") as fh:

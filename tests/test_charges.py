@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from adspet import charges
 from adspet.charges import (
     CHARGE_NAMES,
     J_ORDER,
@@ -35,6 +36,7 @@ from adspet.initial_data import (
     AdsExactModel,
     OffdiagMomentumModel,
     RadialBumpModel,
+    angular_factors,
     mass_aspect_grid,
     read_grid_file,
     write_grid_file,
@@ -335,8 +337,8 @@ def test_errors_are_raised_on_a_cache_hit_as_on_a_miss():
 
     def e1(r, theta=grid.theta, psi=grid.psi):
         nodes = (r, theta, psi, grid.phi)
-        return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes),
-                                *nodes[:3], K1)
+        return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), r,
+                                angular_factors(theta, psi), K1)
 
     # Warm the grid's tables and the radial scalars at r = 4.
     e1(4.0)
@@ -363,6 +365,20 @@ def test_errors_are_raised_on_a_cache_hit_as_on_a_miss():
             if attempt == "hit" and error is NumericalError:
                 assert (_radial_table.cache_info().hits
                         + _radial_factor_table.cache_info().hits) > hits
+
+
+def test_surface_pass_calls_the_public_mass_aspect(monkeypatch):
+    # The charges compute e_1 with the library's one mass-aspect function,
+    # once per grid for every radius.
+    calls = []
+
+    def counted(a, da, r, angular, k):
+        calls.append(np.shape(r))
+        return mass_aspect_grid(a, da, r, angular, k)
+
+    monkeypatch.setattr(charges, "mass_aspect_grid", counted)
+    compute_charges(RadialBumpModel(m=0.1, constants=K1), Q_STD)
+    assert calls == [(4, 1, 1, 1)] * 2
 
 
 # Every bundled model kind: each offdiag_momentum axis and profile.

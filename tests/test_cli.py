@@ -8,6 +8,7 @@ import pytest
 
 from adspet import cli
 from adspet.cli import main
+from adspet.initial_data import RadialBumpModel, write_grid_file
 
 BUMP = '{"name": "radial_bump", "params": {"m": 0.1}}'
 OFFDIAG = (
@@ -236,8 +237,12 @@ def test_parser_reuse_matches_fresh_parser(tmp_path, capsys):
 
 
 def test_numerical_failure_has_its_own_exit_code(capsys):
-    nan_model = '{"name": "radial_bump", "params": {"m": NaN}}'
-    assert main(["charges", "--model", nan_model, *SMALL, "--quiet"]) == 4
+    # A finite amplitude whose quadratic terms in e_1 overflow a float (a
+    # NaN amplitude is now a usage error).
+    huge_model = '{"name": "radial_bump", "params": {"m": 1e300}}'
+    with np.errstate(over="ignore"):
+        code = main(["charges", "--model", huge_model, *SMALL, "--quiet"])
+    assert code == 4
     assert "numerical failure: non-finite value at node" in capsys.readouterr().err
 
 
@@ -338,6 +343,57 @@ def test_nonfinite_radii_and_kappa_are_usage_errors(capsys, flags):
     assert main(["bound", "--model", BUMP, *flags, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("model", ['[1,2]', '3', '{"name": ["radial_bump"]}',
+                                   '{"name": "radial_bump", "params": [1]}'])
+def test_malformed_model_config_is_a_usage_error(capsys, model):
+    # Valid JSON of the wrong shape once escaped from main as a TypeError.
+    assert main(["charges", "--model", model, *SMALL, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", '{"name": "radial_bump", "params": {"m": NaN}}'],
+    ["--model", '{"name": "offdiag_momentum", "params": {"q": "-inf", "axis": 2}}'],
+    ["--model", '{"name": "radial_bump", "params": {"m": 0.1, "sigma": Infinity}}'],
+])
+def test_nonfinite_model_parameters_are_usage_errors(capsys, flags):
+    # Each passed the constructor and failed in the surface pass, exit 4.
+    assert main(["bound", *flags, *SMALL, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_lambda_is_a_usage_error(capsys, value):
+    assert main(["identity", "--model", BUMP, *SMALL,
+                 f"--lambda=1,0,0,0,0,0,0,{value}", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["charges", "decay"])
+def test_grid_file_with_a_nan_radius_is_a_usage_error(tmp_path, capsys, command):
+    # The strictly-increasing check let a NaN radius through: charges then
+    # exited 4 and decay 1.
+    path = tmp_path / "nan.aads"
+    write_grid_file(path, RadialBumpModel(m=0.1), (4.0, 5.0, 6.0), 8, 8, 8)
+    text = path.read_text().replace("radii=4.0 5.0 6.0", "radii=4.0 nan 6.0")
+    path.write_text(text)
+    model = json.dumps({"name": "grid", "params": {"file": str(path)}})
+    assert main([command, "--model", model, *SMALL, "--radii", "4,5,6",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("what", ["spinors", "killing"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_needs_at_least_one_sample(capsys, what, samples):
+    # With no samples, verify spinors passed after checking nothing.
+    assert main(["verify", what, "--samples", samples, "--quiet"]) == 2
+    capsys.readouterr()
 
 
 # A model config that is valid JSON with a string the writer must escape:

@@ -22,6 +22,8 @@ from adspet.initial_data import (
     InitialDataModel,
     OffdiagMomentumModel,
     RadialBumpModel,
+    _decay_exponent,
+    angular_factors,
     decay_validate,
     mass_aspect_grid,
     model_from_config,
@@ -42,8 +44,8 @@ def at(p):
 def e1_of(model, r, theta, psi, phi):
     """The mass aspect of a model's own fields at the nodes."""
     nodes = (r, theta, psi, phi)
-    return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), r, theta,
-                            psi, model.constants)
+    return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), r,
+                            angular_factors(theta, psi), model.constants)
 
 
 def p_of(model, r, theta, psi, phi):
@@ -510,3 +512,41 @@ def test_write_grid_file_bytes_frozen(tmp_path, config):
     write_grid_file(path, model_from_config(config), [4.0, 5.0, 6.0], 4, 4, 6)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == FROZEN_GRID_FILES[config]
+
+
+def _count_field_calls(model, monkeypatch):
+    calls = {}
+    for name in ("a", "h", "da_coord"):
+        def counted(*args, _name=name, _f=getattr(model, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
+DECAY_MODELS = [AdsExactModel(K1), RadialBumpModel(m=0.1, constants=K1),
+                OffdiagMomentumModel(0.05, 3, "sin_phi", constants=K1)]
+
+
+@pytest.mark.parametrize("model", DECAY_MODELS, ids=lambda m: m.name)
+def test_decay_evaluates_every_radius_at_once(model, monkeypatch):
+    # Each field is evaluated once, with the radii on an axis of their own;
+    # the exponents are those of one sphere at a time, bit for bit.
+    radii = (4.0, 5.0, 6.5, 7.0)
+    g = sphere_grid(8, 8, 8)
+    norms = {name: [np.max(np.abs(f(r, g.theta, g.psi, g.phi)))
+                    for r in radii]
+             for name, f in (("a", model.a), ("h", model.h),
+                             ("da", lambda *x: model.da_coord(*x)[0]))}
+    calls = _count_field_calls(model, monkeypatch)
+    rep = decay_validate(model, radii)
+    assert calls == {"a": 1, "h": 1, "da_coord": 1}
+    for field, name in (("sigma_a", "a"), ("sigma_h", "h"), ("sigma_grad_a", "da")):
+        assert getattr(rep, field) == _decay_exponent(norms[name], radii, 1.0)
+
+
+def test_write_grid_file_evaluates_every_radius_at_once(tmp_path, monkeypatch):
+    model = OffdiagMomentumModel(0.05, 3, "sin_phi", constants=K1)
+    calls = _count_field_calls(model, monkeypatch)
+    write_grid_file(tmp_path / "data.aads", model, (4.0, 5.0, 6.0), 4, 4, 6)
+    assert calls == {"a": 1, "h": 1}

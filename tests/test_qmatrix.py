@@ -10,7 +10,12 @@ from adspet import geometry, initial_data, qmatrix
 from adspet.charges import ChargeSet, SurfaceData, derived
 from adspet.clifford import gamma
 from adspet.geometry import ModelConstants, QuadratureSpec, sphere_grid
-from adspet.initial_data import OffdiagMomentumModel, RadialBumpModel, mass_aspect_grid
+from adspet.initial_data import (
+    OffdiagMomentumModel,
+    RadialBumpModel,
+    angular_factors,
+    mass_aspect_grid,
+)
 from adspet.qmatrix import (
     _closed_form_terms,
     _identity_surface_value,
@@ -475,7 +480,8 @@ def test_boundary_identity_evaluates_each_surface_once(monkeypatch):
     model = CountingBump(m=0.1, constants=K1)
     grid = sphere_grid(8, 8, 8)
     nodes = (5.0, grid.theta, grid.psi, grid.phi)
-    e1 = mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), *nodes[:3], K1)
+    e1 = mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), nodes[0],
+                          angular_factors(*nodes[1:3]), K1)
     assert e1.shape == (8, 8, 1)
     for mode in ("leading", "exact"):
         CountingBump.calls = 0
