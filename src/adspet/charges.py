@@ -10,12 +10,14 @@ of the angles, and a single radius is a batch of shape ().  The boundary
 identity reads the same pass.
 
 e_1 comes from initial_data.mass_aspect_grid, the library's one mass-aspect
-function.  The Killing tables and the mass aspect's angular factors are
-built once per grid.  Data that keep their own angular shape S are
-contracted at S, against the tables summed over every angle along which S
-has length 1, so no field is spread to the full grid; all radii go through
-one np.vecdot per table.  r enters only through scalars, evaluated once per (radii, kappa):
-the radial factors of each charge, and coth and 1/f in the mass aspect.
+function.  Its angular factors are built once per grid.  Data that keep
+their own angular shape S are contracted at S, against the Killing tables
+summed over every angle along which S has length 1, so no field is spread
+to the full grid; all radii go through one np.vecdot per table.  Only the
+summed tables are kept, once per (grid, table, S): a table is built one
+Killing field at a time, and no full-grid table outlives its sum.  r
+enters only through scalars, evaluated once per (radii, kappa): the radial
+factors of each charge, and coth and 1/f in the mass aspect.
 The same reduction of |table| gives each charge's absolute integral, the
 scale on which a column is judged to be quadrature roundoff.
 """
@@ -212,31 +214,14 @@ _COSH = np.array([killing_radial_scale(label, 0.0, ModelConstants()) == 1.0
 ZERO_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class _ChargeTables:
-    """Per-grid Killing tables: node weights times the angular factors of
-    the frame components, so every radius reduces with one contraction; and
-    the mass aspect's angular factors on the grid."""
-
-    grid: SphereGrid
-    e: np.ndarray        # (5,) + grid shape: against e_1
-    p: np.ndarray        # (10, 3) + grid shape: against P_{21}, P_{31}, P_{41}
-    angular: tuple       # initial_data.angular_factors at the grid's nodes
-
-
 @functools.lru_cache(maxsize=2)
-def _charge_tables(ntheta: int, npsi: int, nphi: int,
-                   k: ModelConstants) -> _ChargeTables:
+def _grid_and_factors(ntheta: int, npsi: int, nphi: int) -> tuple:
+    """The sphere grid and the mass aspect's angular factors at its nodes."""
     grid = sphere_grid(ntheta, npsi, nphi)
-    angles = (grid.theta, grid.psi, grid.phi)
-    e = np.stack([killing_frame_table(label, *angles, k)[0] * grid.weights
-                  for label in _E_LABELS])
-    p = np.stack([killing_frame_table(label, *angles, k)[1:] * grid.weights
-                  for label in _P_LABELS])
     angular = angular_factors(grid.theta, grid.psi)
-    for table in (e, p, *angular):
-        table.setflags(write=False)
-    return _ChargeTables(grid=grid, e=e, p=p, angular=angular)
+    for factor in angular:
+        factor.setflags(write=False)
+    return grid, angular
 
 
 # The grid axes along which data of a given shape are constant: at most 8
@@ -244,19 +229,27 @@ def _charge_tables(ntheta: int, npsi: int, nphi: int,
 @functools.lru_cache(maxsize=32)
 def _reduced_table(ntheta: int, npsi: int, nphi: int, k: ModelConstants,
                    part: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The Killing table `part` ("e" or "p") summed over every grid axis
-    along which data of the given shape have length 1, and |table| summed
-    the same way, each flattened to (charges, data size).
+    """The Killing table `part` ("e", against e_1, or "p", against P_{21},
+    P_{31}, P_{41}), node weights times the angular factors of the frame
+    components, summed over every grid axis along which data of the given
+    shape have length 1; and |table| summed the same way.  Each is
+    flattened to (charges, data size).
 
     Contracting data of that shape against the first gives the charge
     integrals, and |data| against the second their absolute integrals.
+    The table is built one Killing field at a time, and each field's rows
+    are dropped once summed, so the full table is never held.
     """
-    table = getattr(_charge_tables(ntheta, npsi, nphi, k), part)
+    grid = _grid_and_factors(ntheta, npsi, nphi)[0]
+    labels, rows = (_E_LABELS, 0) if part == "e" else (_P_LABELS, slice(1, None))
     axes = tuple(i - 3 for i, n in enumerate(shape) if n == 1)
-    # One Killing field at a time, so no temporary is as large as the table.
-    out = tuple(np.stack([np.sum(f(row), axis=axes, keepdims=True)
-                          for row in table]).reshape(len(table), -1)
-                for f in (np.asarray, np.abs))
+    sums, abs_sums = [], []
+    for label in labels:
+        row = (killing_frame_table(label, grid.theta, grid.psi, grid.phi, k)[rows]
+               * grid.weights)
+        sums.append(np.sum(row, axis=axes, keepdims=True))
+        abs_sums.append(np.sum(np.abs(row), axis=axes, keepdims=True))
+    out = tuple(np.stack(t).reshape(len(labels), -1) for t in (sums, abs_sums))
     for t in out:
         t.setflags(write=False)
     return out
@@ -368,11 +361,10 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     r = np.asarray(radii, dtype=float)
     r_nodes = r.reshape(r.shape + (1, 1, 1))
     radial = _radial_factors(r, k)
-    tables = _charge_tables(ntheta, npsi, nphi, k)
-    grid = tables.grid
+    grid, angular = _grid_and_factors(ntheta, npsi, nphi)
     nodes = (r_nodes, grid.theta, grid.psi, grid.phi)
     a = model.a(*nodes)
-    e1 = mass_aspect_grid(a, model.da_coord(*nodes), r_nodes, tables.angular, k)
+    e1 = mass_aspect_grid(a, model.da_coord(*nodes), r_nodes, angular, k)
     p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)

@@ -417,6 +417,9 @@ def _cmd_identity(args):
         print(f"error: --lambda values must be finite, got {args.lam}",
               file=sys.stderr)
         return EXIT_USAGE
+    if not any(vals):
+        print("error: --lambda must not be all zero", file=sys.stderr)
+        return EXIT_USAGE
     lam = KillingParams(*(complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)))
     rep = boundary_identity(model, lam, q, args.mode)
     _say(args, f"lhs = {rep.lhs:.10e}")

@@ -251,14 +251,13 @@ class SphereGrid:
         nodes.
 
         r is a radius or an array of radii of shape B; values broadcasts to
-        B + grid shape, and the result has shape B.
+        B + grid shape, and the result has shape B.  Raises
+        DegenerateCoordinateError at r <= 0.
         """
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
-            raise ValueError(f"r must be positive, got {r}")
+        area = _radial_values("area", r, k, "the area factors of S_r")
         values = np.broadcast_to(values, r.shape + self.shape)
         self.require_finite(values)
-        area = _radial_values("area", r, k, "the area factors of S_r")
         return np.sum(values * self.weights, axis=(-3, -2, -1)) * area
 
 

@@ -94,9 +94,10 @@ class InitialDataModel:
     name = "abstract"
 
     def __init__(self, tau: float, constants: ModelConstants):
+        tau = _finite("decay order tau", tau)
         if not tau > 2:
             raise ValueError(f"decay order tau must exceed 2, got {tau}")
-        self.tau = float(tau)
+        self.tau = tau
         self.constants = constants
 
     def a(self, r, theta, psi, phi) -> np.ndarray:
@@ -165,11 +166,9 @@ class RadialBumpModel(InitialDataModel):
 
     def __init__(self, m: float, sigma: float = 4.0,
                  constants: ModelConstants = ModelConstants()):
-        if not sigma > 2:
-            raise ValueError(f"sigma must exceed 2, got {sigma}")
         super().__init__(sigma, constants)
         self.m = _finite("m", m)
-        self.sigma = _finite("sigma", sigma)
+        self.sigma = self.tau
 
     def _profile(self, r, theta, psi, phi):
         f = self.m * np.exp(-self.sigma * self.constants.kappa
@@ -206,13 +205,11 @@ class OffdiagMomentumModel(InitialDataModel):
             raise ValueError(
                 f"unknown profile {profile!r}; choose from {sorted(ANGULAR_PROFILES)}"
             )
-        if not sigma > 2:
-            raise ValueError(f"sigma must exceed 2, got {sigma}")
         super().__init__(sigma, constants)
         self.q = _finite("q", q)
         self.axis = int(axis)
         self.profile = profile
-        self.sigma = _finite("sigma", sigma)
+        self.sigma = self.tau
 
     def a(self, r, theta, psi, phi):
         return _zero_field(r, theta, psi, phi)
@@ -481,9 +478,7 @@ def decay_validate(model: InitialDataModel, radii: Sequence[float],
                              model.h(*nodes)))
     vacuous = sa is None and sda is None and sh is None
     threshold = model.tau - 0.1
-    passed = model.tau > 2 and all(
-        s is None or s >= threshold for s in (sa, sda, sh)
-    )
+    passed = all(s is None or s >= threshold for s in (sa, sda, sh))
     return DecayReport(passed=passed, vacuous=vacuous, tau=model.tau,
                        sigma_a=sa, sigma_grad_a=sda, sigma_h=sh)
 

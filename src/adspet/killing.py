@@ -12,7 +12,12 @@ import math
 
 import numpy as np
 
-from .geometry import DegenerateCoordinateError, ModelConstants, frame_scales
+from .geometry import (
+    _POLE_TOL,
+    DegenerateCoordinateError,
+    ModelConstants,
+    frame_scales,
+)
 
 __all__ = [
     "ALL_LABELS",
@@ -45,8 +50,6 @@ ALL_LABELS = (
     (2, 4),
     (3, 4),
 )
-
-_POLE_TOL = 1e-12
 
 
 def normalize_label(label):

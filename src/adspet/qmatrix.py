@@ -385,9 +385,6 @@ class IdentityReport:
     rhs: float
     gap: float
     mode: str
-    # The imaginary part of lhs.  M is Hermitian and the integrand is summed
-    # as the real form it is, so this is 0.
-    lhs_imag: float
     diverged: bool
 
     def as_dict(self):
@@ -396,7 +393,6 @@ class IdentityReport:
             "rhs": self.rhs,
             "gap": self.gap,
             "mode": self.mode,
-            "lhs_imag": self.lhs_imag,
             "diverged": self.diverged,
         }
 
@@ -533,6 +529,5 @@ def boundary_identity(
     gap = 0.0 if scale == 0 else abs(lhs - rhs) / scale
     return IdentityReport(
         lhs=float(lhs), rhs=rhs, gap=float(gap), mode=mode,
-        lhs_imag=0.0,
         diverged=diverged or cs.any_diverged,
     )

@@ -1,6 +1,7 @@
 """Tests for the fifteen charges: oracles, selection rules, extrapolation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from adspet.charges import (
     ChargeSet,
     _COSH,
     _PREFACTOR,
-    _charge_tables,
+    _grid_and_factors,
     _radial_factor_table,
     _radial_factors,
     _reduced_table,
@@ -298,6 +299,27 @@ def test_reduction_cache_stays_bounded():
     assert _reduced_table.cache_info().misses == info.misses
 
 
+def test_a_surface_pass_keeps_no_full_killing_table():
+    # The caches keep the reduced tables only: after one pass at 32^3 from
+    # empty caches, less memory stays allocated than one full (10, 3) + grid
+    # table of P-side Killing rows would take.
+    for cached in vars(charges).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_phi", constants=K1)
+    full_table = 10 * 3 * 32 ** 3 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        surface = charge_surface_values(model, np.array([4.0, 5.0, 6.0, 7.0]),
+                                        32, 32, 32)
+        del surface
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < full_table
+
+
 @pytest.mark.parametrize("kappa", [1.0, 1.7])
 @pytest.mark.parametrize("r", [0.3, 4.0, 7.0])
 def test_radial_factors_match_the_per_label_scales(r, kappa):
@@ -324,7 +346,7 @@ def test_overflowing_radial_factors_are_a_numerical_failure(r):
 def test_cached_grid_and_radial_arrays_are_read_only():
     # The caches hand the same arrays to every caller.
     radii = np.array([4.0, 5.0, 6.0])
-    arrays = [*_charge_tables(8, 8, 8, K1).angular, _radial_factors(radii, K1)]
+    arrays = [*_grid_and_factors(8, 8, 8)[1], _radial_factors(radii, K1)]
     arrays += [_radial_values(name, radii, K1, "test") for name in _RADIAL_FUNCTIONS]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -365,6 +365,30 @@ def test_nonfinite_model_parameters_are_usage_errors(capsys, flags):
     assert err.startswith("error: ") and "finite" in err
 
 
+def test_infinite_decay_order_is_a_usage_error(tmp_path, capsys):
+    # tau = inf passed the tau > 2 check, in a model config and in a grid
+    # file's header alike.
+    path = tmp_path / "inf.aads"
+    write_grid_file(path, RadialBumpModel(m=0.1), (4.0, 5.0, 6.0), 8, 8, 8,
+                    tau=math.inf)
+    models = ['{"name": "ads_exact", "params": {"tau": Infinity}}',
+              json.dumps({"name": "grid", "params": {"file": str(path)}})]
+    for model in models:
+        assert main(["charges", "--model", model, *SMALL, "--radii", "4,5,6",
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tau must be finite" in err
+
+
+def test_all_zero_lambda_is_a_usage_error(capsys):
+    # lambda = 0 makes both sides of the identity 0: the check passed
+    # without checking anything.
+    assert main(["identity", "--model", BUMP, *SMALL,
+                 "--lambda=0,0,0,0,0,0,0,0", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "all zero" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nonfinite_lambda_is_a_usage_error(capsys, value):
     assert main(["identity", "--model", BUMP, *SMALL,

@@ -78,3 +78,26 @@ def test_every_exported_name_is_used():
     called = sorted(name for name in UNCALLED_EXPORTS
                     if any(name in _uses(tree, skip=name) for tree in trees.values()))
     assert called == []
+
+
+def _tracer_tables():
+    """perfbench/tracer.py's TIMED and COUNTED tables, read from its source
+    without importing it: layer name -> (module, attribute)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tables = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if getattr(target, "id", None) in ("TIMED", "COUNTED"):
+                    tables.update(ast.literal_eval(node.value))
+    return tables
+
+
+def test_traced_layers_resolve():
+    # The benchmark's tracer patches these functions by name; one renamed or
+    # deleted in the library would drop its layer from traced runs.
+    tables = _tracer_tables()
+    assert "cli.main" in tables and "clifford.gamma" in tables
+    missing = [f"{module}.{attr}" for module, attr in tables.values()
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -196,6 +196,13 @@ def test_surface_integral_overflow_is_a_numerical_failure(r):
         sphere_grid(8, 8, 8).integrate(1.0, np.asarray(r), K1)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, (4.0, 0.0)])
+def test_surface_integral_needs_a_positive_radius(r):
+    # The area-factor lookup is the one check of r; it names the frame.
+    with pytest.raises(DegenerateCoordinateError, match="needs r > 0"):
+        sphere_grid(8, 8, 8).integrate(1.0, np.asarray(r), K1)
+
+
 def test_surface_integral_rejects_nonfinite():
     grid = sphere_grid(8, 8, 8)
     with np.errstate(invalid="ignore"):

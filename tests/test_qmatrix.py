@@ -425,7 +425,6 @@ def test_boundary_identity_exact_mode_random_lambda():
     rep = boundary_identity(model, lam, Q_STD, "exact")
     assert not rep.diverged
     assert rep.gap < 1e-8
-    assert rep.lhs_imag < 1e-10
 
 
 # lhs of boundary_identity for the offdiag case of
