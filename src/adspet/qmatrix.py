@@ -7,6 +7,13 @@ closed-form third-minor sum and determinant, the rigidity classification,
 a seeded PSD sampler for property sweeps, and the boundary identity tying
 the spinor surface integrals to lambda^dagger Q lambda.
 
+The sampler puts a sample on the PSD boundary at E0 = -lambda_min(Q0), the
+largest root of the quartic det Q(E0) in closed form, found by monotone
+Newton from sqrt(3A).  Rows near a double root (p' <= 1e-3 A^{3/2}) or not
+converged in 40 steps take eigvalsh instead; the error is of order
+eps A^2 / p'(E0), within 6.4e-15 sqrt(A) of eigvalsh over 10^6
+standard-normal draws.
+
 The identity reads the charges' surface pass at every radius at once.  Its
 integrand, in either mode, is a sum of sixteen real angular tables of the
 Killing-spinor profiles, built once per call, each times a coefficient
@@ -340,13 +347,78 @@ def _seed_states(seed: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _psd_boundary_energy(cs0: ChargeSet) -> np.ndarray:
+    """-lambda_min(Q0) of a batch of momentum-only sets (e0 = 0), shape (n,).
+
+    det(x Id + Q0) is det_closed_form at e0 = x:
+
+        p(x) = x^4 - 2A x^2 + 8t x + A^2 - 4(s + w2),
+
+    with A the a_total of derived(cs0) and (t, s, w2) its _closed_form_terms.
+    Its roots are -mu_i for the eigenvalues mu_i of Q0, so the PSD-boundary
+    energy is its largest root.  Newton's method from x0 = sqrt(3A) reaches
+    it monotonically from above: tr Q0^2 = 4A and tr Q0 = 0, so
+    mu^2 = (sum of the other three)^2 <= 3 (4A - mu^2) gives max|mu|^2 <= 3A,
+    and x0 is at or above the root; p is increasing and convex above its
+    largest root, so every Newton iterate stays at or above it.  A row stops
+    once its step is at most 1e-15 x; a step at or below 0 is roundoff at
+    the root and is not taken, so x never rises.
+
+    At a simple root the error is the roundoff of p over p', of order
+    eps A^2 / p'(E0) <= 1e3 eps sqrt(A) on the rows kept; over 10^6
+    standard-normal draws E0 stayed within 6.4e-15 sqrt(A) of eigvalsh's,
+    and p'(E0) above 0.03 A^{3/2}.  Near a multiple root Newton converges
+    only linearly and p is flat, so it stalls some 3e-9 sqrt(A) away; rows
+    where p'(x) <= 1e-3 A^{3/2} at an iterate (p' only falls towards the
+    root), or that have not converged in 40 steps, take eigvalsh instead.
+    Rows with A = 0 are Q0 = 0 and get 0.  The terms of p are of degree 4
+    in the momenta, so these must lie within about 1e+-70 of 1; the
+    sampler's are standard normal.
+    """
+    d = derived(cs0)
+    t, s, w2 = _closed_form_terms(cs0, d)
+    a = d.a_total
+    c2, c1, c0 = -2 * a, 8 * t, a * a - 4 * (s + w2)
+    x = np.sqrt(3 * a)
+    flat = 1e-3 * a * np.sqrt(a)
+    live = np.flatnonzero(a > 0)
+    fallback = []
+    for _ in range(40):
+        if not live.size:
+            break
+        xl = x[live]
+        x2 = xl * xl
+        dp = (4 * x2 + 2 * c2[live]) * xl + c1[live]
+        stalled = dp <= flat[live]
+        if stalled.any():
+            fallback.append(live[stalled])
+            keep = ~stalled
+            live, xl, x2, dp = live[keep], xl[keep], x2[keep], dp[keep]
+        step = ((x2 + c2[live]) * x2 + c1[live] * xl + c0[live]) / dp
+        # A step at or below 0 is roundoff at the root: x stays where it is.
+        x[live] = xl - np.maximum(step, 0.0)
+        live = live[step > 1e-15 * xl]
+    fallback.append(live)
+    rows = np.concatenate(fallback)
+    if rows.size:
+        q0 = assemble_q(ChargeSet(e0=np.zeros(rows.size), c=cs0.c[rows],
+                                  cp=cs0.cp[rows], j=cs0.j[rows]))
+        x[rows] = -np.linalg.eigvalsh(q0)[:, 0]
+    return x
+
+
 def sample_momenta(seed: int, n: int):
     """Vectorized PSD charge sampler.
 
     Returns (e0, c, cp, j, delta) arrays with shapes (n,), (n,4), (n,4),
     (n,6).  The 14 momenta are standard normal; the energy is set to
-    -lambda_min of the momentum-only matrix plus delta, where delta = 0 on
-    even samples (exact PSD boundary) and |normal| on odd ones.
+    -lambda_min of the momentum-only matrix Q0 plus delta, where delta = 0
+    on even samples (exact PSD boundary) and |normal| on odd ones.
+    -lambda_min(Q0) is the largest root of det(E0 Id + Q0), the closed-form
+    quartic det_closed_form, found by monotone Newton from sqrt(3A)
+    (_psd_boundary_energy).  Rows near a multiple root, or not converged in
+    40 steps, fall back to eigvalsh; over 10^6 standard-normal draws the
+    root agreed with eigvalsh to within 6.4e-15 sqrt(A).
 
     Sample i is np.random.default_rng([seed, i]).standard_normal(15), so
     any prefix of a seeded stream is reproducible.  The seed words of all
@@ -374,8 +446,7 @@ def sample_momenta(seed: int, n: int):
         Generator(PCG64(row_seed)).standard_normal(out=draw[i])
     c, cp, j = draw[:, 0:4], draw[:, 4:8], draw[:, 8:14]
     delta = np.where(np.arange(n) % 2 == 0, 0.0, np.abs(draw[:, 14]))
-    q0 = assemble_q(ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j))
-    e0 = -np.linalg.eigvalsh(q0)[:, 0] + delta
+    e0 = _psd_boundary_energy(ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j)) + delta
     return e0, c, cp, j, delta
 
 

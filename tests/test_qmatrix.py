@@ -19,6 +19,7 @@ from adspet.initial_data import (
 from adspet.qmatrix import (
     _closed_form_terms,
     _identity_surface_value,
+    _psd_boundary_energy,
     _seed_states,
     assemble_q,
     boundary_identity,
@@ -241,11 +242,105 @@ def test_sampler_determinism_and_prefix():
 
 
 def test_sampler_boundary_cases_touch_zero():
-    e0, c, cp, j, delta = sample_momenta(3, 10)
-    for i in range(0, 10, 2):
-        assert delta[i] == 0.0
-        q = assemble_q(ChargeSet(e0=float(e0[i]), c=c[i], cp=cp[i], j=j[i]))
-        assert abs(np.linalg.eigvalsh(q)[0]) < 1e-12 * max(1.0, float(e0[i]))
+    # Every even sample sits on the PSD boundary: min eig Q(E0) vanishes on
+    # the scale of its own momenta, max|eig Q0|.
+    e0, c, cp, j, delta = sample_momenta(3, 10_000)
+    even = slice(0, None, 2)
+    assert np.all(delta[even] == 0.0)
+    c, cp, j = c[even], cp[even], j[even]
+    scale = np.abs(np.linalg.eigvalsh(assemble_q(
+        ChargeSet(e0=np.zeros(len(c)), c=c, cp=cp, j=j)))).max(axis=-1)
+    low = np.linalg.eigvalsh(assemble_q(ChargeSet(e0=e0[even], c=c, cp=cp,
+                                                  j=j)))[:, 0]
+    assert np.all(np.abs(low) <= 1e-12 * scale)
+
+
+def _momenta(seed, n):
+    """n momentum-only sets (e0 = 0) of standard-normal momenta."""
+    draw = np.random.default_rng(seed).standard_normal((n, 14))
+    return ChargeSet(e0=np.zeros(n), c=draw[:, :4], cp=draw[:, 4:8],
+                     j=draw[:, 8:])
+
+
+def _eig_boundary(cs0):
+    """-lambda_min(Q0) from LAPACK, the reference for the quartic's root."""
+    return -np.linalg.eigvalsh(assemble_q(cs0))[:, 0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_boundary_energy_is_the_least_eigenvalue(seed):
+    cs0 = _momenta(seed, 25_000)
+    e0 = _psd_boundary_energy(cs0)
+    root_a = np.sqrt(derived(cs0).a_total)
+    err = e0 - _eig_boundary(cs0)
+    assert np.all(np.abs(err) <= 1e-13 * root_a)
+    # Newton comes from above and takes no upward step: E0 is never below
+    # -lambda_min by more than the roundoff of p over p', some 30 eps
+    # sqrt(A) at worst over 10^6 draws.
+    assert np.all(err >= -1e-14 * root_a)
+    # E0 is a root of the closed-form det Q(E0), which np.linalg.det agrees
+    # with there, judged on the size (E0^2 + A)^2 of its terms.
+    at_root = ChargeSet(e0=e0, c=cs0.c, cp=cs0.cp, j=cs0.j)
+    size = (e0**2 + root_a**2) ** 2
+    det = det_closed_form(at_root)
+    assert np.all(np.abs(det) <= 1e-13 * size)
+    assert np.all(np.abs(np.linalg.det(assemble_q(at_root)).real - det)
+                  <= 1e-13 * size)
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Count the calls to np.linalg.eigvalsh while monkeypatch is active."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kw):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("momenta", [
+    {"c4": 1.0},                          # Q0 = diag(1, 1, -1, -1)
+    {"c1": 0.3, "c2": -0.4, "c3": 1.2},   # a pure c vector
+    {"j12": 1.0},
+], ids=["c4", "c", "j12"])
+def test_boundary_energy_at_a_double_root_takes_eigvalsh(momenta,
+                                                         monkeypatch):
+    # -lambda_min is a double root of det Q(E0): Newton converges only
+    # linearly and stalls about 3e-9 sqrt(A) short, so these rows take the
+    # guard's eigvalsh.
+    for scale in (1e-60, 1e-7, 1.0, 1e9, 1e60):
+        one = charge_set(**{k: scale * v for k, v in momenta.items()})
+        cs0 = ChargeSet(e0=np.zeros(1), c=one.c[None], cp=one.cp[None],
+                        j=one.j[None])
+        want = _eig_boundary(cs0)
+        with monkeypatch.context() as patch:
+            calls = _counting_eigvalsh(patch)
+            e0 = _psd_boundary_energy(cs0)
+        assert calls == [(1, 4, 4)], scale
+        root_a = math.sqrt(derived(cs0).a_total[0])
+        assert abs(e0[0] - want[0]) <= 1e-13 * root_a, scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_boundary_energy_of_zero_momenta_is_zero():
+    cs0 = _momenta(5, 6)
+    zero = (np.arange(6) % 2 == 0)[:, None]
+    cs0 = ChargeSet(e0=cs0.e0, c=np.where(zero, 0.0, cs0.c),
+                    cp=np.where(zero, 0.0, cs0.cp), j=np.where(zero, 0.0, cs0.j))
+    with np.errstate(all="raise"):
+        e0 = _psd_boundary_energy(cs0)
+    assert np.array_equal(e0[::2], np.zeros(3))
+    assert np.all(e0[1::2] > 0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_sampler_takes_no_eigvalsh_on_gaussian_draws(seed, monkeypatch):
+    calls = _counting_eigvalsh(monkeypatch)
+    sample_momenta(seed, 10_000)
+    assert calls == []
 
 
 def test_sampler_validation():
@@ -344,13 +439,15 @@ def _mixed_batch(n=200):
                      cp=np.where(zero, 0.0, cp), j=np.where(zero, 0.0, j))
 
 
-def _assert_same(batched, single, what):
+def _assert_same(batched, single, what, scale=None):
+    """batched agrees with single to 1e-12 of scale, by default |single|."""
     batched = np.asarray(batched)
     single = np.asarray(single)
     if single.dtype == bool:
         assert np.array_equal(batched, single), what
         return
-    scale = np.abs(single).max()
+    if scale is None:
+        scale = np.abs(single).max()
     assert np.all(np.abs(batched - single) <= 1e-12 * scale), what
 
 
@@ -384,8 +481,13 @@ def test_batched_arithmetic_matches_each_set_alone():
                          "margin"):
                 _assert_same(getattr(rep, name)[i], getattr(b1, name),
                              (i, variant, name))
-        _assert_same(third[i], third_minor_sum(one), (i, "third"))
-        _assert_same(det[i], det_closed_form(one), (i, "det"))
+        # At a PSD-boundary sample det Q vanishes, and the third-minor sum
+        # can be small: each is then roundoff on terms of size
+        # |E0| (E0^2 + A) and (E0^2 + A)^2, and judged on that size.
+        size = cs.e0[i] ** 2 + d.a_total[i]
+        _assert_same(third[i], third_minor_sum(one), (i, "third"),
+                     abs(cs.e0[i]) * size)
+        _assert_same(det[i], det_closed_form(one), (i, "det"), size**2)
         r1 = rigidity_check(one)
         assert isinstance(r1.in_domain, bool)
         for name in ("in_domain", "q_frobenius"):
