@@ -12,7 +12,11 @@ largest root of the quartic det Q(E0) in closed form, found by monotone
 Newton from sqrt(3A).  Rows near a double root (p' <= 1e-3 A^{3/2}) or not
 converged in 40 steps take eigvalsh instead; the error is of order
 eps A^2 / p'(E0), within 6.4e-15 sqrt(A) of eigvalsh over 10^6
-standard-normal draws.
+standard-normal draws.  Its momenta are numpy's default_rng([seed, i])
+streams, bit for bit, drawn for all samples at once: numpy's PCG64 and the
+one-word path of its ziggurat, in uint64 array arithmetic, with the widths
+and thresholds of the ziggurat read from the installed numpy.  The fifth
+of the samples with a word off that path are drawn by numpy itself.
 
 The identity reads the charges' surface pass at every radius at once.  Its
 integrand, in either mode, is a sum of sixteen real angular tables of the
@@ -23,8 +27,10 @@ e^{+-kappa r}; the leading mode is the e^{kappa r} part of that sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,19 +177,31 @@ def _closed_form_terms(cs: ChargeSet, d: DerivedCharges):
     return t, s, w2
 
 
+class _MomentumTerms(NamedTuple):
+    """derived(cs) and the _closed_form_terms (t, s, w2) of a charge set.
+    None of them reads E0, so a set and its momenta share them."""
+    d: DerivedCharges
+    t: float | np.ndarray
+    s: float | np.ndarray
+    w2: float | np.ndarray
+
+
+def _momentum_terms(cs: ChargeSet) -> _MomentumTerms:
+    d = derived(cs)
+    return _MomentumTerms(d, *_closed_form_terms(cs, d))
+
+
 def third_minor_sum(cs: ChargeSet):
     """Closed form of the sum of third-order principal minors (up to the
     positive normalization): E0(E0^2 - A) plus the mixed triple terms."""
-    d = derived(cs)
-    t, _, _ = _closed_form_terms(cs, d)
-    return cs.e0 * (cs.e0**2 - d.a_total) + 2 * t
+    m = _momentum_terms(cs)
+    return cs.e0 * (cs.e0**2 - m.d.a_total) + 2 * m.t
 
 
 def det_closed_form(cs: ChargeSet):
     """Closed form of det Q in terms of the charges."""
-    d = derived(cs)
-    t, s, w2 = _closed_form_terms(cs, d)
-    return (cs.e0**2 - d.a_total) ** 2 + 8 * cs.e0 * t - 4 * (s + w2)
+    m = _momentum_terms(cs)
+    return (cs.e0**2 - m.d.a_total) ** 2 + 8 * cs.e0 * m.t - 4 * (m.s + m.w2)
 
 
 @dataclass(frozen=True)
@@ -225,8 +243,13 @@ def theorem_bounds(cs: ChargeSet, variant: str = "proof",
     """
     if variant not in ("proof", "theorem-text"):
         raise ValueError(f"variant must be 'proof' or 'theorem-text', got {variant!r}")
-    d = derived(cs)
-    _, s, w2 = _closed_form_terms(cs, d)
+    return _bounds(cs, _momentum_terms(cs), variant, tol)
+
+
+def _bounds(cs: ChargeSet, terms: _MomentumTerms, variant: str,
+            tol: float = 1e-9) -> BoundsReport:
+    """theorem_bounds of cs from its _momentum_terms, computed elsewhere."""
+    d, _, s, w2 = terms
     w = np.sqrt(w2)
     a_tot = d.a_total
     l2 = d.l_squared
@@ -347,8 +370,10 @@ def _seed_states(seed: int, n: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _psd_boundary_energy(cs0: ChargeSet) -> np.ndarray:
-    """-lambda_min(Q0) of a batch of momentum-only sets (e0 = 0), shape (n,).
+def _psd_boundary_energy(cs0: ChargeSet,
+                         terms: _MomentumTerms | None = None) -> np.ndarray:
+    """-lambda_min(Q0) of a batch of momentum-only sets (e0 = 0), shape (n,),
+    from their _momentum_terms, computed here if not given.
 
     det(x Id + Q0) is det_closed_form at e0 = x:
 
@@ -375,8 +400,7 @@ def _psd_boundary_energy(cs0: ChargeSet) -> np.ndarray:
     in the momenta, so these must lie within about 1e+-70 of 1; the
     sampler's are standard normal.
     """
-    d = derived(cs0)
-    t, s, w2 = _closed_form_terms(cs0, d)
+    d, t, s, w2 = _momentum_terms(cs0) if terms is None else terms
     a = d.a_total
     c2, c1, c0 = -2 * a, 8 * t, a * a - 4 * (s + w2)
     x = np.sqrt(3 * a)
@@ -407,6 +431,165 @@ def _psd_boundary_energy(cs0: ChargeSet) -> np.ndarray:
     return x
 
 
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, stepped before each
+# 64-bit word, whose output is the XSL-RR of the new state.  A batch of
+# states is held as uint64 high and low halves.
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+# standard_normal's ziggurat: 256 layers, a word's low 8 bits, its sign bit
+# 8, and 52 bits of magnitude from bit 9.
+_LAYERS = 256
+_RABS_MASK = 2**52 - 1
+
+
+def _mul_hi(a, b: int):
+    """The high 64 bits of a * b, for a uint64 array a and a 64-bit
+    constant b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    mid2 = a0 * b1 + (mid & _MASK32)
+    return a1 * b1 + (mid >> 32) + (mid2 >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state <- state * M + inc mod 2^128 on every row; returns (hi, lo)."""
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = (_mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO + inc_hi
+              + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _pcg_output(hi, lo):
+    """The XSL-RR word of each state: hi ^ lo rotated right by hi >> 58."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _pcg_seed(states):
+    """PCG64 seeded from each row (w0, w1, w2, w3) of states, as numpy's
+    pcg64_set_seed does it: inc = (w2, w3) << 1 | 1, then from state 0 one
+    step, adding (w0, w1), and one more step.  Returns the state's and the
+    increment's halves, (hi, lo, inc_hi, inc_lo)."""
+    w0, w1, w2, w3 = states.T
+    inc_hi = (w2 << 1) | (w3 >> 63)
+    inc_lo = (w3 << 1) | 1
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < w1)
+    return (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _probe(gen, word: int):
+    """gen.standard_normal() from a state whose next word is word, and the
+    number of words it took, 3 standing for three or more."""
+    # A state with high half 0 outputs its low half unrotated; the probe
+    # sets the state one step before it.
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": (word - 1) * _PCG_MULT_INV & _MASK128, "inc": 1}}
+    x = gen.standard_normal()
+    after = gen.bit_generator.state["state"]["state"]
+    words = (1 if after == word
+             else 2 if after == (word * _PCG_MULT + 1) & _MASK128 else 3)
+    return x, words
+
+
+@functools.cache
+def _ziggurat_tables():
+    """numpy's ziggurat width wi of each layer and a threshold L at most
+    its ki, read once per process from the installed numpy.
+
+    standard_normal returns +-rabs wi[idx] from one word when rabs <
+    ki[idx]; any other word goes on to a wedge or tail test that takes
+    more.  A probe of each layer with rabs = 1 reads wi.  ki is the ratio
+    wi[idx-1]/wi[idx] (wi[255]/wi[0] for the base layer 0) times 2^52,
+    rounded either way, so L = floor of it, minus 2.  A second probe at
+    rabs = L - 1 must take one word and return (L - 1) wi[idx]; as the test
+    is a threshold on rabs, every rabs < L is then taken from one word.  A
+    layer whose probe fails a check, or whose width or lower neighbour's is
+    not positive and finite, gets L = 0, and all its words take numpy's
+    own path.  Layer 1 has ki = 0: its probe takes two words, the wedge
+    test accepting the first, and still gives the width layer 2 needs.
+    """
+    from numpy.random import PCG64, Generator
+
+    gen = Generator(PCG64(0))
+    probes = [_probe(gen, idx | 1 << 9) for idx in range(_LAYERS)]
+    wi = np.array([x for x, _ in probes])
+    width_ok = [0 < x < math.inf and words <= 2 for x, words in probes]
+    limit = np.zeros(_LAYERS, dtype=np.uint64)
+    for idx in range(_LAYERS):
+        # idx - 1 is -1, layer 255, for the base layer.
+        if probes[idx][1] != 1 or not (width_ok[idx] and width_ok[idx - 1]):
+            continue
+        top = min(math.floor(wi[idx - 1] / wi[idx] * 2**52) - 2, 2**52)
+        if top > 1 and _probe(gen, idx | (top - 1) << 9) == ((top - 1) * wi[idx], 1):
+            limit[idx] = top
+    for table in (wi, limit):
+        table.setflags(write=False)
+    return wi, limit
+
+
+def _draw_normals(states, out):
+    """Fill row i of out, shape (n, k), with the first k standard normals
+    of a PCG64 seeded from states[i], for every row whose k words all take
+    the ziggurat's one-word path below _ziggurat_tables' L.  Returns the
+    mask of the other rows, whose values are not numpy's.
+
+    The states are stepped one column at a time, so the temporaries are
+    arrays of n words, not of n k.
+    """
+    wi, limit = _ziggurat_tables()
+    hi, lo, inc_hi, inc_lo = _pcg_seed(states)
+    redraw = np.zeros(len(states), dtype=bool)
+    for col in out.T:
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        word = _pcg_output(hi, lo)
+        layer = (word & 0xFF).astype(np.intp)
+        rabs = (word >> 9) & _RABS_MASK
+        redraw |= rabs >= limit[layer]
+        np.multiply(rabs, wi[layer], out=col)
+        np.negative(col, out=col, where=(word & 0x100).astype(bool))
+    return redraw
+
+
+def _normals(seed: int, n: int) -> np.ndarray:
+    """Row i of the result, shape (n, 15), is
+    np.random.default_rng([seed, i]).standard_normal(15): _draw_normals'
+    rows, and the others drawn by numpy's generator."""
+    states = _seed_states(int(seed), n)
+    draw = np.empty((n, 15))
+    redraw = np.flatnonzero(_draw_normals(states, draw))
+    if redraw.size:
+        from numpy.random import PCG64, Generator
+        from numpy.random.bit_generator import ISeedSequence
+
+        class RowSeed(ISeedSequence):
+            """Hands PCG64 one precomputed generate_state(4, np.uint64) row."""
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.row
+
+        row_seed = RowSeed()
+        for i in redraw:
+            row_seed.row = states[i]
+            Generator(PCG64(row_seed)).standard_normal(out=draw[i])
+    return draw
+
+
+class _Sample(tuple):
+    """sample_momenta's (e0, c, cp, j, delta).  Its terms are the
+    _momentum_terms of the momenta, which the sampler needed for the
+    boundary energy; a caller that goes on to the bounds reads them here
+    instead of computing them again."""
+
+    terms: _MomentumTerms
+
+
 def sample_momenta(seed: int, n: int):
     """Vectorized PSD charge sampler.
 
@@ -420,34 +603,30 @@ def sample_momenta(seed: int, n: int):
     40 steps, fall back to eigvalsh; over 10^6 standard-normal draws the
     root agreed with eigvalsh to within 6.4e-15 sqrt(A).
 
-    Sample i is np.random.default_rng([seed, i]).standard_normal(15), so
-    any prefix of a seeded stream is reproducible.  The seed words of all
-    n streams are hashed in one vectorised pass (_seed_states); PCG64 then
-    seeds itself from each row.  numpy.random is imported here, not at
-    module level: loading it costs tens of milliseconds and several MB of
-    memory on every command, and only this sampler needs it.
+    Sample i is np.random.default_rng([seed, i]).standard_normal(15), bit
+    for bit, so any prefix of a seeded stream is reproducible.  The seed
+    words of all n streams are hashed in one vectorised pass
+    (_seed_states), and numpy's PCG64 and ziggurat run on all of them at
+    once, one column at a time (_draw_normals): numpy takes a word as
+    +-rabs wi[idx] when rabs < ki[idx], and the pass does too, with the
+    widths wi read from the installed numpy and thresholds L <= ki checked
+    against it (_ziggurat_tables).  A row with a word outside that path,
+    about 20% of them, is drawn again by numpy's own generator.
+    numpy.random is imported only when the sampler runs, not at module
+    level: loading it costs tens of milliseconds and several MB of memory
+    on every command, and only this sampler needs it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class RowSeed(ISeedSequence):
-        """Hands PCG64 one precomputed generate_state(4, np.uint64) row."""
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.row
-
-    states = _seed_states(int(seed), n)
-    draw = np.empty((n, 15))
-    row_seed = RowSeed()
-    for i in range(n):
-        row_seed.row = states[i]
-        Generator(PCG64(row_seed)).standard_normal(out=draw[i])
+    draw = _normals(seed, n)
     c, cp, j = draw[:, 0:4], draw[:, 4:8], draw[:, 8:14]
     delta = np.where(np.arange(n) % 2 == 0, 0.0, np.abs(draw[:, 14]))
-    e0 = _psd_boundary_energy(ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j)) + delta
-    return e0, c, cp, j, delta
+    cs0 = ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j)
+    terms = _momentum_terms(cs0)
+    e0 = _psd_boundary_energy(cs0, terms) + delta
+    out = _Sample((e0, c, cp, j, delta))
+    out.terms = terms
+    return out
 
 
 @dataclass(frozen=True)
