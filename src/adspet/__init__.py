@@ -45,7 +45,6 @@ from .initial_data import (
 from .killing import (
     ALL_LABELS,
     killing_residual,
-    killing_vector_coord,
     killing_vector_frame,
     normalize_label,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "write_grid_file",
     "ALL_LABELS",
     "killing_residual",
-    "killing_vector_coord",
     "killing_vector_frame",
     "normalize_label",
     "BoundsReport",

@@ -1,9 +1,12 @@
 """The fifteen Killing vector fields of the (4+1)-dimensional AdS spacetime.
 
-Coordinate components are given in (t, r, theta, psi, phi); frame components
-contract the coordinate basis against the orthonormal frame factors.  A
-finite-difference Lie-derivative residual verifies the Killing equation
-against the closed-form metric.
+AdS is the hyperboloid <y, y> = -1/kappa^2 in R^{4,2}, and each field is the
+generator of the rotations of one plane (a, b) there.  On the t = 0 slice its
+frame components are products of the ambient frame vectors, with no division
+by sin(theta) or sin(psi); off the slice, in coordinates (t, r, theta, psi,
+phi), they are the same products turned by kappa t and divided by the frame
+factors.  A finite-difference Lie-derivative residual verifies the Killing
+equation against the closed-form metric.
 """
 
 from __future__ import annotations
@@ -13,21 +16,18 @@ import math
 import numpy as np
 
 from .geometry import (
-    _POLE_TOL,
-    DegenerateCoordinateError,
     ModelConstants,
+    _require_off_poles,
     frame_scales,
 )
 
 __all__ = [
     "ALL_LABELS",
     "normalize_label",
-    "killing_vector_coord",
     "killing_vector_frame",
     "killing_radial_scale",
     "killing_frame_table",
     "spacetime_killing_vector",
-    "embedding_killing_vector",
     "killing_residual",
     "ads_metric_diag",
 ]
@@ -64,120 +64,70 @@ def normalize_label(label):
     raise ValueError(f"unknown Killing label {label}")
 
 
-def _coord_components(label, r, theta, psi, phi, k: ModelConstants):
-    """Components (c_t, c_r, c_theta, c_psi, c_phi), vectorized over angles."""
-    kappa = k.kappa
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast(r, theta, psi, phi).shape
-    zero = np.zeros(shape)
-    one = np.ones(shape)
+# Signature of the embedding space R^{4,2}, indices 0..5 with 0 and 5 timelike.
+_ETA6 = (-1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
+
+
+def _ambient_components(i, theta, psi, phi):
+    """Component i of the ambient vectors (u0, n, e2, e3, e4, u5) of R^{4,2},
+    each as its (theta, psi, phi) factors.
+
+    u0 and u5 are the unit vectors along the timelike axes y^0 and y^5.  n is
+    the unit vector of S^3 in the axes 1..4, and e2 = d_theta n,
+    e3 = d_psi n / sin(theta) and e4 = d_phi n / (sin(theta) sin(psi)) its
+    orthonormal tangent frame, written without those divisions.  Every
+    component is a product of one function of each angle, and the factors of
+    a vector agree across the components 1..3 (theta) and 1..2 (psi), so the
+    products that cancel in a frame component cancel exactly.
+    """
+    zero, one = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
+    if i in (0, 5):
+        return tuple(one if v == i else zero for v in range(6))
     sth, cth = np.sin(theta), np.cos(theta)
+    if i == 4:
+        return (zero, (cth, 1.0, 1.0), (-sth, 1.0, 1.0), zero, zero, zero)
     sps, cps = np.sin(psi), np.cos(psi)
-    sph, cph = np.sin(phi), np.cos(phi)
-    coth = 1.0 / np.tanh(kappa * r)
-    tanh = np.tanh(kappa * r)
-
-    def need_sin_theta():
-        if np.any(np.abs(sth) < _POLE_TOL):
-            raise DegenerateCoordinateError("label requires sin(theta) != 0")
-
-    def need_sin_psi():
-        if np.any(np.abs(sps) < _POLE_TOL):
-            raise DegenerateCoordinateError("label requires sin(psi) != 0")
-
-    if label == (5, 0):
-        return (one / kappa, zero, zero, zero, zero)
-    if label == (1, 0):
-        need_sin_theta()
-        need_sin_psi()
-        return (
-            zero,
-            sth * sps * cph / kappa,
-            coth * cth * sps * cph,
-            coth * cps * cph / sth,
-            -coth * sph / (sth * sps),
-        )
-    if label == (2, 0):
-        need_sin_theta()
-        need_sin_psi()
-        return (
-            zero,
-            sth * sps * sph / kappa,
-            coth * cth * sps * sph,
-            coth * cps * sph / sth,
-            coth * cph / (sth * sps),
-        )
-    if label == (3, 0):
-        need_sin_theta()
-        return (
-            zero,
-            sth * cps / kappa,
-            coth * cth * cps,
-            -coth * sps / sth,
-            zero,
-        )
-    if label == (4, 0):
-        return (zero, cth / kappa, -coth * sth * one, zero, zero)
-    if label == (1, 5):
-        return (tanh * sth * sps * cph / kappa, zero, zero, zero, zero)
-    if label == (2, 5):
-        return (tanh * sth * sps * sph / kappa, zero, zero, zero, zero)
-    if label == (3, 5):
-        return (tanh * sth * cps / kappa, zero, zero, zero, zero)
-    if label == (4, 5):
-        return (tanh * cth / kappa, zero, zero, zero, zero)
-    if label == (1, 2):
-        return (zero, zero, zero, zero, one)
-    if label == (1, 3):
-        need_sin_psi()
-        return (zero, zero, zero, -cph * one, cps * sph / sps)
-    if label == (1, 4):
-        need_sin_theta()
-        need_sin_psi()
-        return (
-            zero,
-            zero,
-            -sps * cph,
-            -cth * cps * cph / sth,
-            cth * sph / (sth * sps),
-        )
-    if label == (2, 3):
-        need_sin_psi()
-        return (zero, zero, zero, -sph * one, -cps * cph / sps)
-    if label == (2, 4):
-        need_sin_theta()
-        need_sin_psi()
-        return (
-            zero,
-            zero,
-            -sps * sph,
-            -cth * cps * sph / sth,
-            -cth * cph / (sth * sps),
-        )
-    if label == (3, 4):
-        need_sin_theta()
-        return (zero, zero, -cps * one, cth * sps / sth, zero)
-    raise AssertionError(f"unhandled label {label}")
-
-
-def killing_vector_coord(label, p, k: ModelConstants):
-    """Coordinate components (d/dt, d/dr, d/dtheta, d/dpsi, d/dphi) at the
-    broadcastable arrays p = (r, theta, psi, phi)."""
-    canonical, sign = normalize_label(label)
-    comps = _coord_components(canonical, *p, k)
-    return tuple(sign * c for c in comps)
+    if i == 3:
+        return (zero, (sth, cps, 1.0), (cth, cps, 1.0), (1.0, -sps, 1.0), zero,
+                zero)
+    p, p_perp = (np.cos(phi), -np.sin(phi)) if i == 1 else (np.sin(phi), np.cos(phi))
+    return (zero, (sth, sps, p), (cth, sps, p), (1.0, cps, p), (1.0, 1.0, p_perp),
+            zero)
 
 
 def killing_vector_frame(label, p, k: ModelConstants):
-    """Frame components U^(0..4) against the orthonormal AdS frame."""
-    r, theta, psi, _ = p
-    ct, cr, cth, cps, cph = killing_vector_coord(label, p, k)
-    s = frame_scales(r, theta, psi, k)
-    return (ct * np.cosh(k.kappa * r), cr * s[0], cth * s[1], cps * s[2],
-            cph * s[3])
+    """Frame components U^(0..4) against the orthonormal AdS frame at the
+    broadcastable arrays p = (r, theta, psi, phi) of the t = 0 slice, each of
+    their broadcast shape.
+
+    The field (a, b) is the generator eta_a y_a d_b - eta_b y_b d_a of
+    R^{4,2} at the slice point y = (cosh(kappa r) u0 + sinh(kappa r) n)/kappa,
+    so U^(m) = omega(y, e_m) with omega(v, w) = eta_a eta_b (v_a w_b - v_b w_a),
+    e_1 = d_r y and e_0 = -u5 (the frame's time axis is u5; lowering it flips
+    the sign).  Each field reads only the components a and b of the ambient
+    vectors.
+    """
+    (a, b), sign = normalize_label(label)
+    r, theta, psi, phi = p
+    va, vb = (_ambient_components(i, theta, psi, phi) for i in (a, b))
+    eta = sign * _ETA6[a] * _ETA6[b]
+
+    def product(x, y):
+        # Angle by angle, so that equal products round to equal values.
+        return (x[0] * y[0]) * (x[1] * y[1]) * (x[2] * y[2])
+
+    def omega(v, w):
+        return eta * (product(va[v], vb[w]) - product(vb[v], va[w]))
+
+    x = k.kappa * np.asarray(r, dtype=float)
+    ch, sh = np.cosh(x), np.sinh(x)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in p))
+    # y and e_1 both grow like e^{kappa r}: omega(y, e_1) = omega(u0, n)/kappa
+    # holds exactly, while the product form would cancel e^{2 kappa r}.
+    u = (-(ch * omega(0, 5) + sh * omega(1, 5)) / k.kappa,
+         omega(0, 1) / k.kappa,
+         *((ch * omega(0, m) + sh * omega(1, m)) / k.kappa for m in (2, 3, 4)))
+    return tuple(np.broadcast_to(c, shape) for c in u)
 
 
 def killing_radial_scale(label, r: float, k: ModelConstants) -> float:
@@ -212,78 +162,31 @@ def ads_metric_diag(x, k: ModelConstants) -> np.ndarray:
     return np.concatenate([[-lapse2], frame_scales(r, theta, psi, k) ** 2])
 
 
-# Flat metric of the embedding space, indices 0..5 with 0 and 5 timelike.
-_ETA6 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-
-
-
-def _embedding(x, k):
-    """Hyperboloid point y^A and Jacobian dy^A/dx^mu, x = (t,r,theta,psi,phi)."""
-    kappa = k.kappa
-    t, r, theta, psi, phi = x
-    sth, cth = np.sin(theta), np.cos(theta)
-    sps, cps = np.sin(psi), np.cos(psi)
-    sph, cph = np.sin(phi), np.cos(phi)
-    n = np.array([sth * sps * cph, sth * sps * sph, sth * cps, cth])
-    dn = np.array(
-        [
-            [cth * sps * cph, cth * sps * sph, cth * cps, -sth],  # d/dtheta
-            [sth * cps * cph, sth * cps * sph, -sth * sps, 0.0],  # d/dpsi
-            [-sth * sps * sph, sth * sps * cph, 0.0, 0.0],        # d/dphi
-        ]
-    )
-    ch, sh = np.cosh(kappa * r), np.sinh(kappa * r)
-    st, ct_ = np.sin(kappa * t), np.cos(kappa * t)
-    # On the 0-slice y^0 = cosh(kappa r)/kappa is the nonvanishing timelike
-    # coordinate, so the (i,0) generators restrict to boosts there.
-    y = np.empty(6)
-    y[0] = ch * ct_ / kappa
-    y[1:5] = sh * n / kappa
-    y[5] = ch * st / kappa
-    jac = np.zeros((6, 5))
-    jac[0, 0] = -ch * st
-    jac[5, 0] = ch * ct_
-    jac[0, 1] = sh * ct_
-    jac[1:5, 1] = ch * n
-    jac[5, 1] = sh * st
-    for m, mu in enumerate((2, 3, 4)):
-        jac[1:5, mu] = sh * dn[m] / kappa
-    return y, jac
-
-
-def embedding_killing_vector(label, x, k: ModelConstants) -> np.ndarray:
-    """Coordinate components (t, r, theta, psi, phi) of the full Killing field.
-
-    This is the flat rotation generator of the embedding space pulled back to
-    the hyperboloid; it restricts to the slice expressions at t = 0.
-    """
-    canonical, sign = normalize_label(label)
-    a, b = canonical
-    y, jac = _embedding(np.asarray(x, dtype=float), k)
-    u6 = np.zeros(6)
-    u6[b] = _ETA6[a] * y[a]
-    u6[a] = -_ETA6[b] * y[b]
-    u_low = jac.T @ (_ETA6 * u6)
-    g = ads_metric_diag(x, k)
-    return sign * u_low / g
-
-
 def spacetime_killing_vector(label, x, k: ModelConstants) -> np.ndarray:
-    """Full Killing field in coordinates (t, r, theta, psi, phi).
+    """Full Killing field in coordinates x = (t, r, theta, psi, phi).
 
-    The time translation and the spatial rotations are t-independent, so
-    their closed-form slice components are valid everywhere; evaluating them
-    directly keeps the exact symmetry zeros free of the roundoff the
-    embedding pullback would introduce.  The boost families genuinely depend
-    on t and go through the pullback.
+    Time evolution is the rotation by kappa t in the embedding's (0, 5)
+    plane.  It leaves the time translation and the rotations unchanged and
+    turns the boosts into each other, so at time t the (i, 0) field has the
+    slice frame components of cos(kappa t) U_i0 - sin(kappa t) U_i5 and the
+    (i, 5) field those of cos(kappa t) U_i5 + sin(kappa t) U_i0.  Dividing by
+    the coordinate scales (cosh(kappa r), frame_scales) gives the components.
     """
-    canonical, sign = normalize_label(label)
-    a, b = canonical
-    if b == 0 and a != 5 or b == 5:
-        return embedding_killing_vector(label, x, k)
-    _, r, theta, psi, phi = np.asarray(x, dtype=float)
-    comps = _coord_components(canonical, r, theta, psi, phi, k)
-    return sign * np.array([float(c) for c in comps])
+    t, r, theta, psi, phi = np.asarray(x, dtype=float)
+    _require_off_poles(np.sin(theta), np.sin(psi))
+    (a, b), sign = normalize_label(label)
+    if (a, b) == (1, 2):
+        # d_phi in closed form: from the frame products it keeps about 1e-11
+        # of roundoff in the Lie-derivative residual, where it must be 0.
+        return sign * np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    p = (r, theta, psi, phi)
+    u = np.array(killing_vector_frame((a, b), p, k))
+    if a != 5 and b in (0, 5):
+        c, s = math.cos(k.kappa * t), math.sin(k.kappa * t)
+        partner = np.array(killing_vector_frame((a, 5 - b), p, k))
+        u = c * u + (s if b == 5 else -s) * partner
+    scales = np.concatenate([[np.cosh(k.kappa * r)], frame_scales(r, theta, psi, k)])
+    return sign * u / scales
 
 
 def killing_residual(label, x, h: float, k: ModelConstants) -> float:

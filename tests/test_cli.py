@@ -34,6 +34,41 @@ def test_verify_killing_single_label(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kappa", ["5", "30"])
+def test_verify_killing_at_large_kappa(kappa, capsys):
+    # The sample points and the step scale with 1/kappa; in absolute units
+    # the step outgrew the fields' scale and exact boosts failed the h^2 law.
+    assert main(["verify", "killing", "--kappa", kappa, "--samples", "60",
+                 "--quiet"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("ratios, code, reported", [
+    ((4.1, 3.6, 4.0), 0, 3.6),
+    ((4.0, 5.0, 4.1), 1, 5.0),
+    ((4.0, math.nan, 4.1), 1, None),
+])
+def test_verify_killing_reports_the_deciding_ratio(ratios, code, reported,
+                                                   tmp_path, monkeypatch, capsys):
+    # The report carries the ratio farthest from 4, which decides the
+    # verdict, not the last sample's.
+    steps = iter(ratios)
+
+    def residual(label, x, h, k):
+        return 1e-6 if h == 1e-3 else 1e-6 / next(steps)
+
+    monkeypatch.setattr(cli, "killing_residual", residual)
+    out = tmp_path / "killing.json"
+    assert main(["verify", "killing", "--label", "1,0", "--samples", "3",
+                 "--out", str(out), "--quiet"]) == code
+    ratio = json.loads(out.read_text())["fields"][0]["ratio"]
+    if reported is None:
+        assert math.isnan(ratio)
+    else:
+        assert ratio == pytest.approx(reported)
+    capsys.readouterr()
+
+
 def test_charges_report(tmp_path, capsys):
     out = tmp_path / "charges.json"
     code = main(["charges", "--model", BUMP, *SMALL, "--out", str(out),

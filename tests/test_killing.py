@@ -9,11 +9,9 @@ from adspet.geometry import DegenerateCoordinateError, ModelConstants, sphere_gr
 from adspet.killing import (
     ALL_LABELS,
     ads_metric_diag,
-    embedding_killing_vector,
     killing_frame_table,
     killing_radial_scale,
     killing_residual,
-    killing_vector_coord,
     killing_vector_frame,
     normalize_label,
     spacetime_killing_vector,
@@ -33,18 +31,18 @@ def test_label_normalization():
 
 
 def test_time_translation_components():
-    ct, cr, cth, cps, cph = killing_vector_coord(
-        (5, 0), (2.0, 1.0, 1.0, 1.0), K1
+    ct, cr, cth, cps, cph = spacetime_killing_vector(
+        (5, 0), (0.0, 2.0, 1.0, 1.0, 1.0), K1
     )
     assert ct == pytest.approx(1.0)
     assert cr == 0.0 and cth == 0.0 and cps == 0.0 and cph == 0.0
     k2 = ModelConstants(2.0)
-    ct2 = killing_vector_coord((5, 0), (2.0, 1.0, 1.0, 1.0), k2)[0]
+    ct2 = spacetime_killing_vector((5, 0), (0.0, 2.0, 1.0, 1.0, 1.0), k2)[0]
     assert ct2 == pytest.approx(0.5)
 
 
 def test_azimuthal_rotation_components():
-    comps = killing_vector_coord((1, 2), (3.0, 0.7, 1.1, 2.0), K1)
+    comps = spacetime_killing_vector((1, 2), (0.0, 3.0, 0.7, 1.1, 2.0), K1)
     assert comps[4] == pytest.approx(1.0)
     assert all(c == 0.0 for c in comps[:4])
 
@@ -52,8 +50,8 @@ def test_azimuthal_rotation_components():
 def test_boost_at_pole_aligned_axis():
     # The (4, 0) field at theta = pi/2 is purely angular: -coth(r) d/dtheta.
     r = 2.0
-    ct, cr, cth, cps, cph = killing_vector_coord(
-        (4, 0), (r, math.pi / 2, 1.0, 1.0), K1
+    ct, cr, cth, cps, cph = spacetime_killing_vector(
+        (4, 0), (0.0, r, math.pi / 2, 1.0, 1.0), K1
     )
     assert ct == 0.0
     assert cr == pytest.approx(0.0, abs=1e-15)
@@ -62,8 +60,9 @@ def test_boost_at_pole_aligned_axis():
 
 
 def test_radial_boost_along_axis():
-    # At theta = 0 the (4, 0) field is radial with magnitude 1/kappa.
-    comps = killing_vector_coord((4, 0), (1.5, 0.0, 1.0, 1.0), K1)
+    # At theta = 0 the (4, 0) field is radial with magnitude 1/kappa.  The
+    # pole is a coordinate singularity, so read the frame components.
+    comps = killing_vector_frame((4, 0), (1.5, 0.0, 1.0, 1.0), K1)
     assert comps[1] == pytest.approx(1.0)
     assert comps[2] == pytest.approx(0.0, abs=1e-15)
 
@@ -75,37 +74,32 @@ def test_time_boost_frame_value():
     assert all(abs(f) < 1e-15 for f in frame[1:])
 
 
+# A theta or psi pole as (theta, psi), and the unit step into the interior.
+POLES = (((0.0, 1.0), (1, 0)), ((math.pi, 1.0), (-1, 0)),
+         ((1.0, 0.0), (0, 1)), ((1.0, math.pi), (0, -1)))
+
+
 def test_pole_guard():
-    with pytest.raises(DegenerateCoordinateError):
-        killing_vector_coord((1, 0), (1.0, 0.0, 1.0, 1.0), K1)
-    with pytest.raises(DegenerateCoordinateError):
-        killing_vector_coord((1, 3), (1.0, 1.0, 0.0, 1.0), K1)
-
-
-def test_embedding_pullback_restricts_to_slice():
-    # At t = 0 the embedding-space generators reduce to the closed-form
-    # slice expressions, label by label.  This is an independent derivation
-    # of every coordinate formula.
-    rng = np.random.default_rng(5)
+    # Coordinate components are singular at a theta or psi pole.
     for lab in ALL_LABELS:
-        for _ in range(3):
-            r = 0.8 + 2.0 * rng.random()
-            th = 0.3 + 2.5 * rng.random()
-            ps = 0.3 + 2.5 * rng.random()
-            ph = 2 * math.pi * rng.random()
-            full = embedding_killing_vector(lab, (0.0, r, th, ps, ph), K1)
-            slice_ = killing_vector_coord(lab, (r, th, ps, ph), K1)
-            assert np.allclose(full, slice_, atol=1e-12), lab
+        for (theta, psi), _ in POLES:
+            with pytest.raises(DegenerateCoordinateError):
+                spacetime_killing_vector(lab, (0.0, 1.0, theta, psi, 1.0), K1)
 
 
-def test_time_independent_labels_agree_with_embedding_off_slice():
-    # Rotations and the time translation have no t dependence; at t != 0
-    # the fast path must still match the pullback.
-    x = (0.7, 1.9, 1.2, 0.8, 2.4)
-    for lab in ((5, 0), (1, 2), (2, 4), (3, 4)):
-        fast = spacetime_killing_vector(lab, x, K1)
-        slow = embedding_killing_vector(lab, x, K1)
-        assert np.allclose(fast, slow, atol=1e-12), lab
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_frame_components_are_finite_at_the_poles(kappa):
+    # The frame components are trigonometric polynomials in the angles:
+    # finite at a pole and continuous into it.
+    k = ModelConstants(kappa)
+    delta = 1e-7
+    for lab in ALL_LABELS:
+        for (theta, psi), (d_theta, d_psi) in POLES:
+            pole = np.array(killing_vector_frame(lab, (1.3, theta, psi, 0.7), k))
+            near = np.array(killing_vector_frame(
+                lab, (1.3, theta + delta * d_theta, psi + delta * d_psi, 0.7), k))
+            assert np.all(np.isfinite(pole)), (lab, theta, psi)
+            assert np.max(np.abs(pole - near)) < 10 * delta * max(1.0, np.max(np.abs(near)))
 
 
 def test_killing_equation_all_labels():
@@ -163,38 +157,50 @@ def test_frame_components_asymptotics():
     assert vals[2] / vals[1] == pytest.approx(math.e, rel=1e-5)
 
 
+# Signature of R^{4,2}, whose rotation generators are the Killing fields.
+ETA6 = (-1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
+
+
+def _generator(label):
+    """The so(4,2) matrix M of a label: the field is u = M y on R^{4,2},
+    with u^b = eta_a y^a and u^a = -eta_b y^b."""
+    (a, b), sign = normalize_label(label)
+    m = np.zeros((6, 6))
+    m[b, a] = sign * ETA6[a]
+    m[a, b] = -sign * ETA6[b]
+    return m
+
+
 def test_commutator_closure():
-    # [U_12, U_23] evaluated by finite differences is again a Killing field;
-    # on this pair it equals U_13 (embedding-space bracket of rotations).
-    x0 = np.array([0.0, 1.7, 1.1, 0.8, 2.2])
+    # For every pair, the bracket of the two fields, by central differences
+    # at an off-slice point, is the field of the matrix commutator: the
+    # linear fields u = M y and v = N y have [u, v] = (N M - M N) y.  Any
+    # label with the wrong sign or the wrong field breaks its brackets.
+    x0 = np.array([0.3, 1.7, 1.1, 0.8, 2.2])
     h = 1e-5
-
-    def bracket(a, b, x):
-        ua = spacetime_killing_vector(a, x, K1)
-        out = np.zeros(5)
-        for mu in range(5):
-            step = np.zeros(5)
-            step[mu] = h
-            dub = (
-                spacetime_killing_vector(b, x + step, K1)
-                - spacetime_killing_vector(b, x - step, K1)
-            ) / (2 * h)
-            dua = (
-                spacetime_killing_vector(a, x + step, K1)
-                - spacetime_killing_vector(a, x - step, K1)
-            ) / (2 * h)
-            out += ua[mu] * dub - spacetime_killing_vector(b, x, K1)[mu] * dua
-        return out
-
-    br = bracket((1, 2), (2, 3), x0)
-    target = spacetime_killing_vector((1, 3), x0, K1)
-    assert np.allclose(br, target, atol=1e-4)
+    basis = np.array([_generator(lab).ravel() for lab in ALL_LABELS]).T
+    fields = np.array([spacetime_killing_vector(lab, x0, K1) for lab in ALL_LABELS])
+    jac = np.zeros((len(ALL_LABELS), 5, 5))  # jac[L, mu] = d_mu U_L
+    for mu in range(5):
+        step = np.zeros(5)
+        step[mu] = h
+        for i, lab in enumerate(ALL_LABELS):
+            jac[i, mu] = (spacetime_killing_vector(lab, x0 + step, K1)
+                          - spacetime_killing_vector(lab, x0 - step, K1)) / (2 * h)
+    for i, a in enumerate(ALL_LABELS):
+        for j, b in enumerate(ALL_LABELS[i + 1:], start=i + 1):
+            ma, mb = _generator(a), _generator(b)
+            commutator = (mb @ ma - ma @ mb).ravel()
+            coeffs = np.linalg.lstsq(basis, commutator, rcond=None)[0]
+            assert np.allclose(basis @ coeffs, commutator, atol=1e-12)
+            bracket = fields[i] @ jac[j] - fields[j] @ jac[i]
+            assert np.allclose(bracket, coeffs @ fields, rtol=0, atol=1e-8), (a, b)
 
 
 def test_antisymmetry_of_labels():
     p = (1.3, 0.9, 1.4, 2.1)
-    u = np.array(killing_vector_coord((3, 0), p, K1))
-    v = np.array(killing_vector_coord((0, 3), p, K1))
+    u = spacetime_killing_vector((3, 0), (0.0, *p), K1)
+    v = spacetime_killing_vector((0, 3), (0.0, *p), K1)
     assert np.allclose(u, -v)
 
 
