@@ -22,13 +22,7 @@ from .clifford import ETA, gamma
 from .geometry import ModelConstants, NumericalError, QuadratureSpec, SlicePoint
 from .initial_data import decay_validate, model_from_config
 from .killing import ALL_LABELS, killing_residual, normalize_label
-from .qmatrix import (
-    _bounds,
-    boundary_identity,
-    rigidity_check,
-    sample_momenta,
-    theorem_bounds,
-)
+from .qmatrix import boundary_identity, rigidity_check, sample_momenta, theorem_bounds
 from .spinors import KillingParams, killing_spinor, killing_spinor_residual
 
 EXIT_OK = 0
@@ -254,26 +248,30 @@ def _cmd_verify_spinors(args):
     rng = np.random.default_rng(args.seed)
     max_rel = 0.0
     ratios = []
-    h = 1e-3
     for _ in range(args.samples):
         lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        # r is drawn, and the radial step taken, in units of 1/kappa, the
+        # scale on which the spinor varies radially; the angles keep their
+        # own step.  Both terms of nabla Phi + (i kappa / 2) gamma Phi are of
+        # size kappa |Phi0|, which the residual is judged against.
         p = SlicePoint(
-            r=0.5 + 2.5 * rng.random(),
+            r=(0.5 + 2.5 * rng.random()) / k.kappa,
             theta=0.3 + 2.5 * rng.random(),
             psi=0.3 + 2.5 * rng.random(),
             phi=2 * math.pi * rng.random(),
         )
         d = int(rng.integers(1, 5))
+        h = 1e-3 / k.kappa if d == 1 else 1e-3
         r1 = killing_spinor_residual(lam, p, d, h, k)
         r2 = killing_spinor_residual(lam, p, d, h / 2, k)
-        norm = np.linalg.norm(killing_spinor(lam, p, k))
-        max_rel = max(max_rel, r1 / norm)
+        size = k.kappa * np.linalg.norm(killing_spinor(lam, p, k))
+        max_rel = max(max_rel, r1 / size)
         if r2 > 1e-13:
             ratios.append(r1 / r2)
     ratios = np.asarray(ratios)
     passed = bool(max_rel < 1e-5 and np.all((ratios > 3.5) & (ratios < 4.5)))
     _say(args, f"samples: {args.samples}")
-    _say(args, f"max residual / |Phi0|: {max_rel:.3e}")
+    _say(args, f"max residual / (kappa |Phi0|): {max_rel:.3e}")
     if len(ratios):
         _say(args, f"convergence ratios: min {ratios.min():.3f} "
                    f"max {ratios.max():.3f} (target 4)")
@@ -442,7 +440,8 @@ def _cmd_sample_psd(args):
     sample = sample_momenta(args.seed, args.n)
     e0, c, cp, j, _ = sample
     # The bounds reuse the momentum-only terms the sampler computed.
-    b = _bounds(ChargeSet(e0=e0, c=c, cp=cp, j=j), sample.terms, args.variant)
+    b = theorem_bounds(ChargeSet(e0=e0, c=c, cp=cp, j=j), args.variant,
+                       terms=sample.terms)
     worst = float(b.margin.min())
     failures = int(np.count_nonzero(~b.satisfied))
     min_clamped = float(np.min(sample.terms.d.a_total - 2 * math.sqrt(2) * b.w))

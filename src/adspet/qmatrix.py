@@ -12,11 +12,8 @@ largest root of the quartic det Q(E0) in closed form, found by monotone
 Newton from sqrt(3A).  Rows near a double root (p' <= 1e-3 A^{3/2}) or not
 converged in 40 steps take eigvalsh instead; the error is of order
 eps A^2 / p'(E0), within 6.4e-15 sqrt(A) of eigvalsh over 10^6
-standard-normal draws.  Its momenta are numpy's default_rng([seed, i])
-streams, bit for bit, drawn for all samples at once: numpy's PCG64 and the
-one-word path of its ziggurat, in uint64 array arithmetic, with the widths
-and thresholds of the ziggurat read from the installed numpy.  The fifth
-of the samples with a word off that path are drawn by numpy itself.
+standard-normal draws.  Its momenta are the rows of one numpy generator's
+draw, default_rng(seed).standard_normal((n, 15)).
 
 The identity reads the charges' surface pass at every radius at once.  Its
 integrand, in either mode, is a sum of sixteen real angular tables of the
@@ -27,7 +24,6 @@ e^{+-kappa r}; the leading mode is the e^{kappa r} part of that sum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -232,24 +228,19 @@ class BoundsReport:
         }
 
 
-def theorem_bounds(cs: ChargeSet, variant: str = "proof",
-                   tol: float = 1e-9) -> BoundsReport:
+def theorem_bounds(cs: ChargeSet, variant: str = "proof", tol: float = 1e-9,
+                   terms: _MomentumTerms | None = None) -> BoundsReport:
     """The five lower bounds on the energy.
 
     variant "proof" uses the second-minor form with |c'|^2 + |J4|^2, which
     follows directly from positive semidefiniteness; "theorem-text" uses
     |c|^2 + |J4|^2, a stated variant checked empirically but not implied by
     the minors.  The bounds hold when E0 - max B >= -tol max(|E0|, max B).
+    terms are the _momentum_terms of cs, computed here if not given.
     """
     if variant not in ("proof", "theorem-text"):
         raise ValueError(f"variant must be 'proof' or 'theorem-text', got {variant!r}")
-    return _bounds(cs, _momentum_terms(cs), variant, tol)
-
-
-def _bounds(cs: ChargeSet, terms: _MomentumTerms, variant: str,
-            tol: float = 1e-9) -> BoundsReport:
-    """theorem_bounds of cs from its _momentum_terms, computed elsewhere."""
-    d, _, s, w2 = terms
+    d, _, s, w2 = _momentum_terms(cs) if terms is None else terms
     w = np.sqrt(w2)
     a_tot = d.a_total
     l2 = d.l_squared
@@ -308,66 +299,6 @@ def rigidity_check(cs: ChargeSet, rel_tol: float = 1e-10) -> RigidityReport:
         in_domain=_scalar(in_domain),
         q_frobenius=np.linalg.norm(qmat, axis=(-2, -1)), q=qmat, psd=psd,
     )
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL = 4
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's multiply-xorshift step on uint32 arrays; the constant
-    advances by one multiplication per call."""
-
-    def step(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    return step
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 pool words."""
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> 16)
-
-
-def _seed_states(seed: int, n: int) -> np.ndarray:
-    """SeedSequence([seed, i]).generate_state(4, np.uint64) for every i < n.
-
-    numpy's SeedSequence hash, run once over uint32 columns with one entry
-    per sample: the entropy is seed's little-endian 32-bit words, then i.
-    Returns shape (n, 4), uint64.
-    """
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    if n > 2**32:
-        raise ValueError("n must be <= 2**32")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    out_hash = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([out_hash(pool[k % _POOL]) for k in range(2 * _POOL)], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _psd_boundary_energy(cs0: ChargeSet,
@@ -431,156 +362,6 @@ def _psd_boundary_energy(cs0: ChargeSet,
     return x
 
 
-# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, stepped before each
-# 64-bit word, whose output is the XSL-RR of the new state.  A batch of
-# states is held as uint64 high and low halves.
-_MASK64 = 2**64 - 1
-_MASK128 = 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
-_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-# standard_normal's ziggurat: 256 layers, a word's low 8 bits, its sign bit
-# 8, and 52 bits of magnitude from bit 9.
-_LAYERS = 256
-_RABS_MASK = 2**52 - 1
-
-
-def _mul_hi(a, b: int):
-    """The high 64 bits of a * b, for a uint64 array a and a 64-bit
-    constant b, from 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    mid2 = a0 * b1 + (mid & _MASK32)
-    return a1 * b1 + (mid >> 32) + (mid2 >> 32)
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """state <- state * M + inc mod 2^128 on every row; returns (hi, lo)."""
-    new_lo = lo * _MULT_LO + inc_lo
-    new_hi = (_mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO + inc_hi
-              + (new_lo < inc_lo))
-    return new_hi, new_lo
-
-
-def _pcg_output(hi, lo):
-    """The XSL-RR word of each state: hi ^ lo rotated right by hi >> 58."""
-    x = hi ^ lo
-    rot = hi >> 58
-    return (x >> rot) | (x << ((64 - rot) & 63))
-
-
-def _pcg_seed(states):
-    """PCG64 seeded from each row (w0, w1, w2, w3) of states, as numpy's
-    pcg64_set_seed does it: inc = (w2, w3) << 1 | 1, then from state 0 one
-    step, adding (w0, w1), and one more step.  Returns the state's and the
-    increment's halves, (hi, lo, inc_hi, inc_lo)."""
-    w0, w1, w2, w3 = states.T
-    inc_hi = (w2 << 1) | (w3 >> 63)
-    inc_lo = (w3 << 1) | 1
-    lo = inc_lo + w1
-    hi = inc_hi + w0 + (lo < w1)
-    return (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def _probe(gen, word: int):
-    """gen.standard_normal() from a state whose next word is word, and the
-    number of words it took, 3 standing for three or more."""
-    # A state with high half 0 outputs its low half unrotated; the probe
-    # sets the state one step before it.
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-        "state": {"state": (word - 1) * _PCG_MULT_INV & _MASK128, "inc": 1}}
-    x = gen.standard_normal()
-    after = gen.bit_generator.state["state"]["state"]
-    words = (1 if after == word
-             else 2 if after == (word * _PCG_MULT + 1) & _MASK128 else 3)
-    return x, words
-
-
-@functools.cache
-def _ziggurat_tables():
-    """numpy's ziggurat width wi of each layer and a threshold L at most
-    its ki, read once per process from the installed numpy.
-
-    standard_normal returns +-rabs wi[idx] from one word when rabs <
-    ki[idx]; any other word goes on to a wedge or tail test that takes
-    more.  A probe of each layer with rabs = 1 reads wi.  ki is the ratio
-    wi[idx-1]/wi[idx] (wi[255]/wi[0] for the base layer 0) times 2^52,
-    rounded either way, so L = floor of it, minus 2.  A second probe at
-    rabs = L - 1 must take one word and return (L - 1) wi[idx]; as the test
-    is a threshold on rabs, every rabs < L is then taken from one word.  A
-    layer whose probe fails a check, or whose width or lower neighbour's is
-    not positive and finite, gets L = 0, and all its words take numpy's
-    own path.  Layer 1 has ki = 0: its probe takes two words, the wedge
-    test accepting the first, and still gives the width layer 2 needs.
-    """
-    from numpy.random import PCG64, Generator
-
-    gen = Generator(PCG64(0))
-    probes = [_probe(gen, idx | 1 << 9) for idx in range(_LAYERS)]
-    wi = np.array([x for x, _ in probes])
-    width_ok = [0 < x < math.inf and words <= 2 for x, words in probes]
-    limit = np.zeros(_LAYERS, dtype=np.uint64)
-    for idx in range(_LAYERS):
-        # idx - 1 is -1, layer 255, for the base layer.
-        if probes[idx][1] != 1 or not (width_ok[idx] and width_ok[idx - 1]):
-            continue
-        top = min(math.floor(wi[idx - 1] / wi[idx] * 2**52) - 2, 2**52)
-        if top > 1 and _probe(gen, idx | (top - 1) << 9) == ((top - 1) * wi[idx], 1):
-            limit[idx] = top
-    for table in (wi, limit):
-        table.setflags(write=False)
-    return wi, limit
-
-
-def _draw_normals(states, out):
-    """Fill row i of out, shape (n, k), with the first k standard normals
-    of a PCG64 seeded from states[i], for every row whose k words all take
-    the ziggurat's one-word path below _ziggurat_tables' L.  Returns the
-    mask of the other rows, whose values are not numpy's.
-
-    The states are stepped one column at a time, so the temporaries are
-    arrays of n words, not of n k.
-    """
-    wi, limit = _ziggurat_tables()
-    hi, lo, inc_hi, inc_lo = _pcg_seed(states)
-    redraw = np.zeros(len(states), dtype=bool)
-    for col in out.T:
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        word = _pcg_output(hi, lo)
-        layer = (word & 0xFF).astype(np.intp)
-        rabs = (word >> 9) & _RABS_MASK
-        redraw |= rabs >= limit[layer]
-        np.multiply(rabs, wi[layer], out=col)
-        np.negative(col, out=col, where=(word & 0x100).astype(bool))
-    return redraw
-
-
-def _normals(seed: int, n: int) -> np.ndarray:
-    """Row i of the result, shape (n, 15), is
-    np.random.default_rng([seed, i]).standard_normal(15): _draw_normals'
-    rows, and the others drawn by numpy's generator."""
-    states = _seed_states(int(seed), n)
-    draw = np.empty((n, 15))
-    redraw = np.flatnonzero(_draw_normals(states, draw))
-    if redraw.size:
-        from numpy.random import PCG64, Generator
-        from numpy.random.bit_generator import ISeedSequence
-
-        class RowSeed(ISeedSequence):
-            """Hands PCG64 one precomputed generate_state(4, np.uint64) row."""
-
-            def generate_state(self, n_words, dtype=np.uint32):
-                return self.row
-
-        row_seed = RowSeed()
-        for i in redraw:
-            row_seed.row = states[i]
-            Generator(PCG64(row_seed)).standard_normal(out=draw[i])
-    return draw
-
-
 class _Sample(tuple):
     """sample_momenta's (e0, c, cp, j, delta).  Its terms are the
     _momentum_terms of the momenta, which the sampler needed for the
@@ -603,22 +384,20 @@ def sample_momenta(seed: int, n: int):
     40 steps, fall back to eigvalsh; over 10^6 standard-normal draws the
     root agreed with eigvalsh to within 6.4e-15 sqrt(A).
 
-    Sample i is np.random.default_rng([seed, i]).standard_normal(15), bit
-    for bit, so any prefix of a seeded stream is reproducible.  The seed
-    words of all n streams are hashed in one vectorised pass
-    (_seed_states), and numpy's PCG64 and ziggurat run on all of them at
-    once, one column at a time (_draw_normals): numpy takes a word as
-    +-rabs wi[idx] when rabs < ki[idx], and the pass does too, with the
-    widths wi read from the installed numpy and thresholds L <= ki checked
-    against it (_ziggurat_tables).  A row with a word outside that path,
-    about 20% of them, is drawn again by numpy's own generator.
-    numpy.random is imported only when the sampler runs, not at module
-    level: loading it costs tens of milliseconds and several MB of memory
-    on every command, and only this sampler needs it.
+    Row i of the draw np.random.default_rng(seed).standard_normal((n, 15))
+    is sample i: columns 0:4 are c, 4:8 c', 8:14 J and 14 gives delta.
+    The generator fills the array row by row, so a shorter run is a prefix
+    of a longer one.  numpy.random is imported only when the sampler runs,
+    not at module level: loading it costs tens of milliseconds and several
+    MB of memory on every command, and only this sampler needs it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    draw = _normals(seed, n)
+    # n beyond 2**32 is no sweep anyone can run (2**32 rows of 15 normals
+    # alone take 515 GB): reject it as a usage error before allocating.
+    if not 1 <= n <= 2**32:
+        raise ValueError(f"n must be in 1..2**32, got {n}")
+    from numpy.random import default_rng
+
+    draw = default_rng(seed).standard_normal((n, 15))
     c, cp, j = draw[:, 0:4], draw[:, 4:8], draw[:, 8:14]
     delta = np.where(np.arange(n) % 2 == 0, 0.0, np.abs(draw[:, 14]))
     cs0 = ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j)

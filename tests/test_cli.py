@@ -28,6 +28,15 @@ def test_verify_spinors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kappa", ["30", "100"])
+def test_verify_spinors_at_large_kappa(kappa, capsys):
+    # r and the radial step scale with 1/kappa, and the residual is judged
+    # against kappa |Phi0|; in absolute units the radial step outgrew the
+    # spinor's scale and the h^2 law failed.
+    assert main(["verify", "spinors", "--kappa", kappa, "--quiet"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_killing_single_label(capsys):
     assert main(["verify", "killing", "--label", "4,0", "--samples", "5",
                  "--quiet"]) == 0
@@ -156,12 +165,13 @@ def test_sample_psd_deterministic_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-# The report of `sample-psd --n 1000 --seed 7` from the per-sample loop
-# that the batched path replaced.
+# The report of `sample-psd --n 1000 --seed 7`, computed apart from the
+# sampler: the momenta of default_rng(7).standard_normal((1000, 15)), E0 =
+# -eigvalsh(Q0)[0] + delta, and theorem_bounds.
 FROZEN_SAMPLE_PSD = {
     "failures": 0,
-    "worst_margin": 0.6175608336401517,
-    "min_a_minus_2sqrt2_w": -3.5954097710848494,
+    "worst_margin": 0.37850051995133294,
+    "min_a_minus_2sqrt2_w": -3.9411407755630243,
 }
 
 

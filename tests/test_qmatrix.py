@@ -19,12 +19,8 @@ from adspet.initial_data import (
 )
 from adspet.qmatrix import (
     _closed_form_terms,
-    _draw_normals,
     _identity_surface_value,
-    _normals,
     _psd_boundary_energy,
-    _seed_states,
-    _ziggurat_tables,
     assemble_q,
     boundary_identity,
     det_closed_form,
@@ -240,9 +236,14 @@ def test_sampler_determinism_and_prefix():
     b = sample_momenta(7, 20)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    # counter-based streams: shorter runs are prefixes of longer ones
+    # One generator fills the draw row by row: a shorter run is a prefix of
+    # a longer one, in everything the sampler returns.
     short = sample_momenta(7, 5)
-    assert np.array_equal(short[1], a[1][:5])
+    for x, y in zip(short, a):
+        assert np.array_equal(x, y[:5])
+    for x, y in zip((*vars(short.terms.d).values(), *short.terms[1:]),
+                    (*vars(a.terms.d).values(), *a.terms[1:])):
+        assert np.array_equal(x, y[:5])
 
 
 def test_sampler_boundary_cases_touch_zero():
@@ -350,8 +351,7 @@ def test_sampler_takes_no_eigvalsh_on_gaussian_draws(seed, monkeypatch):
 def test_sampler_validation():
     with pytest.raises(ValueError):
         sample_momenta(0, 0)
-    # The sample index must fit one 32-bit entropy word; raised before any
-    # allocation.
+    # An absurd size is refused before any allocation.
     with pytest.raises(ValueError, match=r"2\*\*32"):
         sample_momenta(0, 2**32 + 1)
 
@@ -361,37 +361,15 @@ def test_sampler_rejects_a_negative_seed():
         sample_momenta(-1, 5)
 
 
-# Seeds whose entropy (seed words, then i) is 1 to 6 uint32 words long, so the
-# hash runs with a padded pool, a full pool and the extra mixing loop.
-SEEDS = [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 5, 2**100 + 3, 2**130]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_seed_states_match_seed_sequence(seed):
-    n = 2**16 + 3
-    states = _seed_states(seed, n)
-    assert states.shape == (n, 4) and states.dtype == np.uint64
-    for i in (0, 1, 2**16, n - 1):
-        want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
-        assert np.array_equal(states[i], want), i
-
-
-def _streams(seed, n):
-    """Row i is np.random.default_rng([seed, i]).standard_normal(15)."""
-    return np.stack([np.random.default_rng([seed, i]).standard_normal(15)
-                     for i in range(n)])
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_sampler_draws_are_the_per_sample_streams(seed):
-    n = 10_000
-    draw = _streams(seed, n)
-    assert _same_bits(_normals(seed, n), draw)
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**130])
+def test_sampler_draws_are_one_generators_rows(seed):
+    n = 2000
+    draw = np.random.default_rng(seed).standard_normal((n, 15))
     e0, c, cp, j, delta = sample_momenta(seed, n)
     assert _same_bits(c, draw[:, 0:4])
     assert _same_bits(cp, draw[:, 4:8])
@@ -399,108 +377,11 @@ def test_sampler_draws_are_the_per_sample_streams(seed):
     assert _same_bits(delta, np.where(np.arange(n) % 2, np.abs(draw[:, 14]), 0.0))
 
 
-def test_vector_pass_alone_gives_numpys_draws():
-    # The rows the vectorised PCG64 and ziggurat keep are numpy's without
-    # the per-row generator; it redraws only a fifth of them.
-    n = 10_000
-    out = np.full((n, 15), np.nan)
-    redraw = _draw_normals(_seed_states(7, n), out)
-    assert 0 < redraw.mean() < 0.25
-    assert _same_bits(out[~redraw], _streams(7, n)[~redraw])
-
-
-def test_per_row_path_alone_gives_the_same_draws(monkeypatch):
-    n = 2000
-    fast = _normals(7, n)
-    wi, limit = _ziggurat_tables()
-    monkeypatch.setattr(qmatrix, "_ziggurat_tables",
-                        lambda: (wi, np.zeros_like(limit)))
-    assert _draw_normals(_seed_states(7, n), np.empty((n, 15))).all()
-    assert _same_bits(_normals(7, n), fast)
-
-
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _numpy_normal_from_word(word, rng):
-    """standard_normal() of a PCG64 whose next 64-bit word is word, with a
-    random state and increment, and whether it took only that word."""
-    # The word of a state is (hi ^ lo) rotated right by hi >> 58.
-    hi = int(rng.integers(2**64, dtype=np.uint64))
-    rot = hi >> 58
-    lo = hi ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
-    state = hi << 64 | lo
-    inc = 2 * int(rng.integers(2**62)) + 1
-    bitgen = np.random.PCG64(0)
-    bitgen.state = {
-        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-        "state": {"state": (state - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128,
-                  "inc": inc}}
-    x = np.random.Generator(bitgen).standard_normal()
-    return x, bitgen.state["state"]["state"] == state
-
-
-def test_fast_path_lies_inside_numpys_one_word_path():
-    # For every layer, numpy turns a word at either end of the fast path's
-    # range, rabs = 1 and L - 1, of either sign, into +-rabs wi from that
-    # word alone.  The three bits above rabs are ignored.
-    wi, limit = _ziggurat_tables()
-    # Layer 1 has ki = 0 in numpy: none of its words is taken at once.
-    assert np.flatnonzero(limit == 0).tolist() == [1]
-    rng = np.random.default_rng(11)
-    for layer in np.flatnonzero(limit):
-        for rabs in (1, int(limit[layer]) - 1):
-            for sign in (0, 1):
-                high = int(rng.integers(8))
-                word = int(layer) | sign << 8 | rabs << 9 | high << 61
-                x, one_word = _numpy_normal_from_word(word, rng)
-                want = rabs * wi[layer]
-                assert one_word and x == (-want if sign else want), (layer, rabs)
-
-
-# A probe that fails its check, made to: (what the probe returns, the
-# layers that then take numpy's path besides layer 1).  A bad width also
-# takes away the threshold of the layer above, which is read from it.
-_FAILED_PROBES = {
-    "two-word width": (lambda x, words, rabs: (x, 2 if rabs == 1 else words),
-                       {37}),
-    "nan width": (lambda x, words, rabs: (math.nan if rabs == 1 else x, words),
-                  {37, 38}),
-    "negative width": (lambda x, words, rabs: (-x if rabs == 1 else x, words),
-                       {37, 38}),
-    "threshold": (lambda x, words, rabs: (x, 3 if rabs > 1 else words), {37}),
-}
-
-
-@pytest.fixture
-def fresh_tables():
-    """Build the ziggurat tables again in the test, and after it."""
-    _ziggurat_tables.cache_clear()
-    yield
-    _ziggurat_tables.cache_clear()
-
-
-@pytest.mark.parametrize("failure", _FAILED_PROBES)
-def test_a_failed_probe_sends_its_layer_to_numpy(failure, monkeypatch,
-                                                 fresh_tables):
-    change, degraded = _FAILED_PROBES[failure]
-    probe = qmatrix._probe
-
-    def patched(gen, word):
-        x, words = probe(gen, word)
-        return change(x, words, word >> 9) if word & 0xFF == 37 else (x, words)
-
-    monkeypatch.setattr(qmatrix, "_probe", patched)
-    _, limit = _ziggurat_tables()
-    assert set(np.flatnonzero(limit == 0).tolist()) == degraded | {1}
-    n = 2000
-    assert _same_bits(_normals(7, n), _streams(7, n))
-
-
 def test_sampler_memory_peak():
-    # The vectorised draws work one column of n words at a time; (n, 15)
-    # temporaries of words and layer indices would take the peak past 4 MB.
-    sample_momenta(1, 10)  # numpy.random and the ziggurat tables, once
+    # The peak, about 3.4 MB, is the (n, 15) draw (1.2 MB) and the columns
+    # of the momentum terms; an (n, 4, 4) complex Q0 for eigvalsh on every
+    # row (2.56 MB) would take it past 4 MB.
+    sample_momenta(1, 10)  # numpy.random, once
     tracemalloc.start()
     try:
         sample_momenta(1, 10_000)
