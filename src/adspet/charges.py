@@ -351,11 +351,11 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     """Evaluate the surface data of a model at every radius of `radii` (a
     float or an array of shape B) on the given grid.
 
-    The model's a, h and da_coord are each called once, with the radii on
-    axes of their own ahead of the angles.  Its `values` are all fifteen
-    pre-limit surface integrals at each radius, shape B + (15,), in
-    CHARGE_NAMES order, including the kappa/16pi and kappa/8pi prefactors;
-    its `scales` are the same integrals of the absolute integrand.
+    The model's a, h and da_coord (which may call a) are each called once,
+    with the radii on axes of their own ahead of the angles.  Its `values`
+    are all fifteen pre-limit surface integrals at each radius, shape
+    B + (15,), in CHARGE_NAMES order, including the kappa/16pi and kappa/8pi
+    prefactors; its `scales` are the same integrals of the absolute integrand.
     """
     k = model.constants
     r = np.asarray(radii, dtype=float)

@@ -7,14 +7,16 @@ divergence and trace terms of a; the momentum aspect is the trace-adjusted
 h.  `mass_aspect_grid` is the library's one e_1 function: the charges call
 it with the angular factors of their grid (`angular_factors`), built once
 per grid.  Decay validation and the grid-file writer, like the surface
-pass, evaluate each field once, with every radius at once.  Grid models
-are read from the "AADS-ID v1" text format.
+pass, evaluate each field once, with every radius at once.  Analytic models
+write only a and h; grid models, read from the "AADS-ID v1" text format,
+also differentiate their samples.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,6 +46,11 @@ __all__ = [
     "read_grid_file",
 ]
 
+# h of da_coord's complex step Im a(x + i h e_k) / h: it takes no difference,
+# so h may lie far below roundoff (the error is O(h^2) relative).
+COMPLEX_STEP = 1e-30
+_STEPS = 1j * COMPLEX_STEP * np.eye(4)  # row k: the step along coordinate k
+
 # Row-major order of the 10 independent components of a symmetric 4x4 field.
 SYM_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
@@ -54,9 +61,10 @@ def _ndim(*coords) -> int:
 
 
 def _leading_axes(x, *coords) -> np.ndarray:
-    """x as a float array with length-1 axes prepended, up to the number of
-    axes of broadcast(*coords); numpy broadcasting aligns them the same way."""
-    x = np.asarray(x, dtype=float)
+    """x as an array of its own dtype (complex at da_coord's complex step)
+    with length-1 axes prepended, up to the number of axes of
+    broadcast(*coords); numpy broadcasting aligns them the same way."""
+    x = np.asarray(x)
     return x.reshape((1,) * (_ndim(*coords) - x.ndim) + x.shape)
 
 
@@ -68,9 +76,9 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _zero_field(r, theta, psi, phi, lead=()) -> np.ndarray:
-    """A vanishing field: shape lead + (1,) * ndim + (4, 4)."""
-    return np.zeros(lead + (1,) * _ndim(r, theta, psi, phi) + (4, 4))
+def _zero_field(r, theta, psi, phi) -> np.ndarray:
+    """A vanishing field: shape (1,) * ndim + (4, 4)."""
+    return np.zeros((1,) * _ndim(r, theta, psi, phi) + (4, 4))
 
 
 # Angular profiles g(theta, psi, phi).  Each returns an array with as many
@@ -106,7 +114,8 @@ class InitialDataModel:
 
         An axis the field does not depend on may have length 1, so on the
         sphere grid a purely radial field has S = (1, 1, 1); a model may
-        also return the full broadcast shape.
+        also return the full broadcast shape.  The coordinates may be
+        complex (see da_coord): a() must not cast them to float.
         """
         raise NotImplementedError
 
@@ -114,25 +123,27 @@ class InitialDataModel:
         """Second fundamental form, same shape contract as a()."""
         raise NotImplementedError
 
-    # Finite-difference fallback; analytic models override.
-    fd_step = 1e-5
-
     def da_coord(self, r, theta, psi, phi) -> np.ndarray:
         """Coordinate derivatives of a: shape (4,) + S + (4, 4), with the
         field shape S of the a() contract.
 
-        Axis 0 enumerates d/dr, d/dtheta, d/dpsi, d/dphi.
+        Axis 0 enumerates d/dr, d/dtheta, d/dpsi, d/dphi, each the complex
+        step Im a(x + i h e_k) / h, h = COMPLEX_STEP, from one call of a()
+        with the four directions on a leading axis.  TypeError if a() drops
+        the imaginary part (a cast to float: numpy's ComplexWarning).
         """
-        coords = [np.asarray(c, dtype=float) for c in (r, theta, psi, phi)]
-        out = []
-        for idx in range(4):
-            hstep = self.fd_step
-            up = list(coords)
-            dn = list(coords)
-            up[idx] = up[idx] + hstep
-            dn[idx] = dn[idx] - hstep
-            out.append((self.a(*up) - self.a(*dn)) / (2 * hstep))
-        return np.stack(out)
+        coords = (r, theta, psi, phi)
+        steps = _STEPS.reshape((4, 4) + (1,) * _ndim(*coords))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            try:
+                a = self.a(*(c + steps[:, k] for k, c in enumerate(coords)))
+            except np.exceptions.ComplexWarning as exc:
+                raise TypeError(f"model {self.name!r}: a() dropped the imaginary "
+                                f"part of da_coord's complex step ({exc})") from None
+        # A field that depends on no coordinate has length 1 on the leading
+        # axis; the division spreads it to the four directions.
+        return np.divide(np.imag(a), COMPLEX_STEP, out=np.empty((4,) + np.shape(a)[1:]))
 
     def params(self) -> dict:
         return {}
@@ -155,9 +166,6 @@ class AdsExactModel(InitialDataModel):
     a = _zeros
     h = _zeros
 
-    def da_coord(self, r, theta, psi, phi):
-        return _zero_field(r, theta, psi, phi, lead=(4,))
-
 
 class RadialBumpModel(InitialDataModel):
     """a_ij = m exp(-sigma kappa r) delta_ij, h = 0."""
@@ -170,23 +178,12 @@ class RadialBumpModel(InitialDataModel):
         self.m = _finite("m", m)
         self.sigma = self.tau
 
-    def _profile(self, r, theta, psi, phi):
-        f = self.m * np.exp(-self.sigma * self.constants.kappa
-                            * np.asarray(r, dtype=float))
-        return _leading_axes(f, r, theta, psi, phi)
-
     def a(self, r, theta, psi, phi):
-        return self._profile(r, theta, psi, phi)[..., None, None] * np.eye(4)
+        f = self.m * np.exp(-self.sigma * self.constants.kappa * np.asarray(r))
+        return _leading_axes(f, r, theta, psi, phi)[..., None, None] * np.eye(4)
 
     def h(self, r, theta, psi, phi):
         return _zero_field(r, theta, psi, phi)
-
-    def da_coord(self, r, theta, psi, phi):
-        f = self._profile(r, theta, psi, phi)
-        out = np.zeros((4,) + f.shape + (4, 4))
-        df = -self.sigma * self.constants.kappa * f
-        out[0] = df[..., None, None] * np.eye(4)
-        return out
 
     def params(self):
         return {"m": self.m, "sigma": self.sigma}
@@ -225,9 +222,6 @@ class OffdiagMomentumModel(InitialDataModel):
         out[..., 0, kk] = field
         out[..., kk, 0] = field
         return out
-
-    def da_coord(self, r, theta, psi, phi):
-        return _zero_field(r, theta, psi, phi, lead=(4,))
 
     def params(self):
         return {"q": self.q, "axis": self.axis, "profile": self.profile,

@@ -193,20 +193,21 @@ def killing_residual(label, x, h: float, k: ModelConstants) -> float:
     """Max-norm of the central-difference Lie derivative of the AdS metric.
 
     x = (t, r, theta, psi, phi).  Both the vector field derivatives and the
-    metric derivatives are taken by central differences, so coordinate
-    symmetries (t- and phi-independence) give exact zeros up to roundoff.
+    metric derivatives are taken by central differences, step h / kappa in t
+    and r (the fields' scale) and h in the angles, so coordinate symmetries
+    (t- and phi-independence) give exact zeros up to roundoff.
     """
     x = np.asarray(x, dtype=float)
     dU = np.zeros((5, 5))  # dU[mu, rho] = d_mu U^rho
     dg = np.zeros((5, 5))  # dg[rho, mu] = d_rho g_{mu mu}
     for mu in range(5):
         step = np.zeros(5)
-        step[mu] = h
+        step[mu] = h / k.kappa if mu < 2 else h
         up = spacetime_killing_vector(label, x + step, k)
         dn = spacetime_killing_vector(label, x - step, k)
-        dU[mu] = (up - dn) / (2 * h)
+        dU[mu] = (up - dn) / (2 * step[mu])
         dg[mu] = (ads_metric_diag(x + step, k) - ads_metric_diag(x - step, k)) / (
-            2 * h
+            2 * step[mu]
         )
     U = spacetime_killing_vector(label, x, k)
     g = ads_metric_diag(x, k)

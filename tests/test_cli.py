@@ -52,6 +52,21 @@ def test_verify_killing_at_large_kappa(kappa, capsys):
     capsys.readouterr()
 
 
+def test_verify_killing_tests_every_rotation_at_large_kappa(tmp_path, capsys):
+    # Only d/dt and d/dphi are exact; at kappa 30 the real rotations U_23
+    # and U_34 have residuals below 1e-10 too, but they follow the h^2 law
+    # and must be tested by it, not skipped as exact.
+    out = tmp_path / "killing.json"
+    assert main(["verify", "killing", "--kappa", "30", "--samples", "300",
+                 "--out", str(out), "--quiet"]) == 0
+    ratios = {tuple(f["label"]): f["ratio"]
+              for f in json.loads(out.read_text())["fields"]}
+    assert ratios[(5, 0)] is None and ratios[(1, 2)] is None
+    for label in ((2, 3), (3, 4)):
+        assert 3.5 < ratios[label] < 4.5
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("ratios, code, reported", [
     ((4.1, 3.6, 4.0), 0, 3.6),
     ((4.0, 5.0, 4.1), 1, 5.0),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adspet import initial_data
 from adspet.geometry import (
     DegenerateCoordinateError,
     ModelConstants,
@@ -95,14 +96,94 @@ def test_radial_bump_mass_aspect_other_kappa():
     assert e1 == pytest.approx(bump_e1(0.05, 4.0, 2.0, 1.5), rel=1e-12)
 
 
-def test_finite_difference_derivative_matches_analytic():
-    model = RadialBumpModel(m=0.1, sigma=4.0, constants=K1)
-    analytic = model.da_coord(2.0, 1.0, 1.0, 1.0)
-    # force the finite-difference fallback from the base class
-    import adspet.initial_data as mod
+def _assert_close(got, want, rel=1e-14):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want)), np.max(np.abs(got - want))
 
-    fd = mod.InitialDataModel.da_coord(model, 2.0, 1.0, 1.0, 1.0)
-    assert np.allclose(fd, analytic, atol=1e-9)
+
+@pytest.mark.parametrize("kappa", [1.0, 1.7])
+def test_radial_bump_derivative_closed_form(kappa):
+    # da_coord is the complex step; the closed form d_r a = -sigma kappa a,
+    # with no angular derivative, is the reference.
+    k = ModelConstants(kappa)
+    model = RadialBumpModel(m=0.1, sigma=4.0, constants=k)
+
+    def want(r, shape):
+        out = np.zeros((4,) + shape + (4, 4))
+        out[0] = (-4.0 * kappa * 0.1 * np.exp(-4.0 * kappa * r))[..., None, None] * np.eye(4)
+        return out
+
+    _assert_close(model.da_coord(2.0, 1.0, 1.0, 1.0), want(np.float64(2.0), ()))
+    g = sphere_grid(8, 6, 10)
+    radii = np.array([4.0, 5.0, 6.5, 7.0]).reshape(-1, 1, 1, 1)
+    da = model.da_coord(radii, g.theta, g.psi, g.phi)
+    assert da.shape == (4, 4, 1, 1, 1, 4, 4)
+    _assert_close(da, want(radii, radii.shape))
+
+
+class AllCoordinatesModel(InitialDataModel):
+    """a = m exp(-4 kappa r) sin(theta) cos(psi) sin(phi) delta_ij, h = 0:
+    a field with a derivative along every coordinate and no da_coord of
+    its own."""
+
+    name = "all_coordinates"
+
+    def __init__(self, m, constants):
+        super().__init__(4.0, constants)
+        self.m = m
+
+    def a(self, r, theta, psi, phi):
+        f = (self.m * np.exp(-4.0 * self.constants.kappa * np.asarray(r))
+             * np.sin(theta) * np.cos(psi) * np.sin(phi))
+        return f[..., None, None] * np.eye(4)
+
+    def h(self, r, theta, psi, phi):
+        return np.zeros(np.shape(self.a(r, theta, psi, phi)))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.7])
+def test_complex_step_matches_the_closed_form_on_every_axis(kappa):
+    k = ModelConstants(kappa)
+    model = AllCoordinatesModel(0.3, k)
+    g = sphere_grid(8, 6, 10)
+    r, t, p, f = np.array([4.0, 5.5]).reshape(-1, 1, 1, 1), g.theta, g.psi, g.phi
+    rad = 0.3 * np.exp(-4.0 * kappa * r)
+    want = np.stack(np.broadcast_arrays(
+        -4.0 * kappa * rad * np.sin(t) * np.cos(p) * np.sin(f),
+        rad * np.cos(t) * np.cos(p) * np.sin(f),
+        -rad * np.sin(t) * np.sin(p) * np.sin(f),
+        rad * np.sin(t) * np.cos(p) * np.cos(f)))[..., None, None] * np.eye(4)
+    _assert_close(model.da_coord(r, t, p, f), want)
+
+
+def test_complex_step_refuses_a_model_that_drops_it():
+    # A cast of the coordinates to float throws the imaginary step away and
+    # would read as a zero derivative.
+    class CastingModel(RadialBumpModel):
+        name = "casting"
+
+        def a(self, r, theta, psi, phi):
+            return super().a(np.asarray(r, dtype=float), theta, psi, phi)
+
+    model = CastingModel(m=0.1, constants=K1)
+    g = sphere_grid(8, 6, 10)
+    with pytest.raises(TypeError, match="model 'casting'.*imaginary part"):
+        model.da_coord(5.0, g.theta, g.psi, g.phi)
+    with pytest.raises(TypeError, match="model 'casting'"):
+        decay_validate(model, (4.0, 5.0, 6.0))
+
+
+def test_only_grid_models_define_their_own_derivative():
+    # Every analytic model takes the one complex-step da_coord of the base
+    # class; file data are not analytic, so grid models differentiate their
+    # samples.
+    classes = [cls for cls in vars(initial_data).values()
+               if isinstance(cls, type) and issubclass(cls, InitialDataModel)
+               and cls is not InitialDataModel]
+    assert {cls.name for cls in classes} == {
+        "ads_exact", "radial_bump", "offdiag_momentum", "grid"}
+    assert [cls for cls in classes if "da_coord" in vars(cls)] == [GridModel]
+    assert not any(hasattr(cls, "fd_step") for cls in classes + [InitialDataModel])
 
 
 def test_mass_aspect_quadratic_remainder():
@@ -181,15 +262,7 @@ def test_decay_validation_passes_and_fails():
     # decays like e^{-kappa r}: slower than its declared order
     class SlowModel(RadialBumpModel):
         def a(self, r, theta, psi, phi):
-            shape = np.broadcast(
-                np.asarray(r, dtype=float), np.asarray(theta, dtype=float),
-                np.asarray(psi, dtype=float), np.asarray(phi, dtype=float),
-            ).shape
-            f = np.broadcast_to(np.exp(-np.asarray(r, dtype=float)), shape)
-            return f[..., None, None] * np.eye(4)
-
-        def da_coord(self, r, theta, psi, phi):
-            return super(RadialBumpModel, self).da_coord(r, theta, psi, phi)
+            return np.exp(-np.asarray(r))[..., None, None] * np.eye(4)
 
     bad = decay_validate(SlowModel(m=0.1, sigma=4.0, constants=K1),
                          (4.0, 5.0, 6.0, 7.0))
@@ -515,10 +588,11 @@ def test_write_grid_file_bytes_frozen(tmp_path, config):
 
 
 def _count_field_calls(model, monkeypatch):
+    # The radii each field is called with, one entry per call.
     calls = {}
     for name in ("a", "h", "da_coord"):
         def counted(*args, _name=name, _f=getattr(model, name)):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls.setdefault(_name, []).append(np.shape(args[0])[-4:])
             return _f(*args)
         monkeypatch.setattr(model, name, counted)
     return calls
@@ -530,8 +604,9 @@ DECAY_MODELS = [AdsExactModel(K1), RadialBumpModel(m=0.1, constants=K1),
 
 @pytest.mark.parametrize("model", DECAY_MODELS, ids=lambda m: m.name)
 def test_decay_evaluates_every_radius_at_once(model, monkeypatch):
-    # Each field is evaluated once, with the radii on an axis of their own;
-    # the exponents are those of one sphere at a time, bit for bit.
+    # Each field is evaluated once, with the radii on an axis of their own
+    # (a twice: once itself and once, at the four complex steps, inside
+    # da_coord); the exponents are those of one sphere at a time, bit for bit.
     radii = (4.0, 5.0, 6.5, 7.0)
     g = sphere_grid(8, 8, 8)
     norms = {name: [np.max(np.abs(f(r, g.theta, g.psi, g.phi)))
@@ -540,7 +615,8 @@ def test_decay_evaluates_every_radius_at_once(model, monkeypatch):
                              ("da", lambda *x: model.da_coord(*x)[0]))}
     calls = _count_field_calls(model, monkeypatch)
     rep = decay_validate(model, radii)
-    assert calls == {"a": 1, "h": 1, "da_coord": 1}
+    every = (len(radii), 1, 1, 1)
+    assert calls == {"a": [every] * 2, "h": [every], "da_coord": [every]}
     for field, name in (("sigma_a", "a"), ("sigma_h", "h"), ("sigma_grad_a", "da")):
         assert getattr(rep, field) == _decay_exponent(norms[name], radii, 1.0)
 
@@ -549,4 +625,4 @@ def test_write_grid_file_evaluates_every_radius_at_once(tmp_path, monkeypatch):
     model = OffdiagMomentumModel(0.05, 3, "sin_phi", constants=K1)
     calls = _count_field_calls(model, monkeypatch)
     write_grid_file(tmp_path / "data.aads", model, (4.0, 5.0, 6.0), 4, 4, 6)
-    assert calls == {"a": 1, "h": 1}
+    assert calls == {"a": [(3, 1, 1, 1)], "h": [(3, 1, 1, 1)]}

@@ -115,8 +115,8 @@ def test_killing_equation_all_labels():
             ]
         )
         r1 = killing_residual(lab, x, 1e-3, K1)
-        if r1 < 1e-10:
-            continue  # coordinate symmetry, exact up to roundoff
+        if lab in ((5, 0), (1, 2)):
+            continue  # coordinate symmetry (d/dt, d/dphi), exact up to roundoff
         r2 = killing_residual(lab, x, 5e-4, K1)
         assert 3.5 < r1 / r2 < 4.5, lab
 
@@ -133,8 +133,7 @@ def test_killing_equation_other_kappa():
     for lab in ((4, 0), (3, 5), (2, 3)):
         r1 = killing_residual(lab, x, 1e-3, k2)
         r2 = killing_residual(lab, x, 5e-4, k2)
-        if r1 > 1e-10:
-            assert 3.5 < r1 / r2 < 4.5
+        assert 3.5 < r1 / r2 < 4.5, lab
 
 
 def test_metric_diagonal():
