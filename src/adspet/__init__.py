@@ -25,7 +25,6 @@ from .geometry import (
     DegenerateCoordinateError,
     ModelConstants,
     QuadratureSpec,
-    SlicePoint,
     radial_limit,
     sphere_grid,
 )
@@ -63,7 +62,6 @@ from .qmatrix import (
 )
 from .spinors import (
     KillingParams,
-    killing_spinor,
     killing_spinor_residual,
     profiles,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "DegenerateCoordinateError",
     "ModelConstants",
     "QuadratureSpec",
-    "SlicePoint",
     "radial_limit",
     "sphere_grid",
     "AdsExactModel",
@@ -112,7 +109,6 @@ __all__ = [
     "theorem_bounds",
     "third_minor_sum",
     "KillingParams",
-    "killing_spinor",
     "killing_spinor_residual",
     "profiles",
 ]

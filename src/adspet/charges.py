@@ -351,7 +351,7 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     """Evaluate the surface data of a model at every radius of `radii` (a
     float or an array of shape B) on the given grid.
 
-    The model's a, h and da_coord (which may call a) are each called once,
+    The model's a_and_da (which may call a) and h are each called once,
     with the radii on axes of their own ahead of the angles.  Its `values`
     are all fifteen pre-limit surface integrals at each radius, shape
     B + (15,), in CHARGE_NAMES order, including the kappa/16pi and kappa/8pi
@@ -363,8 +363,8 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     radial = _radial_factors(r, k)
     grid, angular = _grid_and_factors(ntheta, npsi, nphi)
     nodes = (r_nodes, grid.theta, grid.psi, grid.phi)
-    a = model.a(*nodes)
-    e1 = mass_aspect_grid(a, model.da_coord(*nodes), r_nodes, angular, k)
+    a, da = model.a_and_da(*nodes)
+    e1 = mass_aspect_grid(a, da, r_nodes, angular, k)
     p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
     grid.require_finite(e1)
     grid.require_finite(p1)

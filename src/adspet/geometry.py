@@ -27,7 +27,6 @@ __all__ = [
     "DegenerateCoordinateError",
     "NumericalError",
     "ModelConstants",
-    "SlicePoint",
     "QuadratureSpec",
     "frame_scales",
     "spin_connection_grid",
@@ -59,26 +58,6 @@ class ModelConstants:
     def __post_init__(self):
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-
-
-@dataclass(frozen=True)
-class SlicePoint:
-    """Point (r, theta, psi, phi) on the hyperbolic 4-slice."""
-
-    r: float
-    theta: float
-    psi: float
-    phi: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if not 0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0 <= self.psi <= math.pi:
-            raise ValueError(f"psi must lie in [0, pi], got {self.psi}")
-        if not 0 <= self.phi < 2 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2pi), got {self.phi}")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ __all__ = [
     "read_grid_file",
 ]
 
-# h of da_coord's complex step Im a(x + i h e_k) / h: it takes no difference,
+# h of a_and_da's complex step Im a(x + i h e_k) / h: it takes no difference,
 # so h may lie far below roundoff (the error is O(h^2) relative).
 COMPLEX_STEP = 1e-30
 _STEPS = 1j * COMPLEX_STEP * np.eye(4)  # row k: the step along coordinate k
@@ -61,7 +61,7 @@ def _ndim(*coords) -> int:
 
 
 def _leading_axes(x, *coords) -> np.ndarray:
-    """x as an array of its own dtype (complex at da_coord's complex step)
+    """x as an array of its own dtype (complex at a_and_da's complex step)
     with length-1 axes prepended, up to the number of axes of
     broadcast(*coords); numpy broadcasting aligns them the same way."""
     x = np.asarray(x)
@@ -115,7 +115,7 @@ class InitialDataModel:
         An axis the field does not depend on may have length 1, so on the
         sphere grid a purely radial field has S = (1, 1, 1); a model may
         also return the full broadcast shape.  The coordinates may be
-        complex (see da_coord): a() must not cast them to float.
+        complex (see a_and_da): a() must not cast them to float.
         """
         raise NotImplementedError
 
@@ -123,14 +123,17 @@ class InitialDataModel:
         """Second fundamental form, same shape contract as a()."""
         raise NotImplementedError
 
-    def da_coord(self, r, theta, psi, phi) -> np.ndarray:
-        """Coordinate derivatives of a: shape (4,) + S + (4, 4), with the
-        field shape S of the a() contract.
+    def a_and_da(self, r, theta, psi, phi) -> tuple:
+        """a and its coordinate derivatives da, of shapes S + (4, 4) and
+        (4,) + S + (4, 4), with the field shape S of the a() contract.
 
-        Axis 0 enumerates d/dr, d/dtheta, d/dpsi, d/dphi, each the complex
-        step Im a(x + i h e_k) / h, h = COMPLEX_STEP, from one call of a()
-        with the four directions on a leading axis.  TypeError if a() drops
-        the imaginary part (a cast to float: numpy's ComplexWarning).
+        Axis 0 of da enumerates d/dr, d/dtheta, d/dpsi, d/dphi, each the
+        complex step Im a(x + i h e_k) / h, h = COMPLEX_STEP, from one call
+        of a() with the four directions on a leading axis; a is the real
+        part of the first direction: a(x) to O(h^2) relative, and to the
+        last bit where complex arithmetic rounds apart from real (numpy's
+        complex exp is the C library's).  TypeError if a() drops the
+        imaginary part (a cast to float: numpy's ComplexWarning).
         """
         coords = (r, theta, psi, phi)
         steps = _STEPS.reshape((4, 4) + (1,) * _ndim(*coords))
@@ -140,10 +143,11 @@ class InitialDataModel:
                 a = self.a(*(c + steps[:, k] for k, c in enumerate(coords)))
             except np.exceptions.ComplexWarning as exc:
                 raise TypeError(f"model {self.name!r}: a() dropped the imaginary "
-                                f"part of da_coord's complex step ({exc})") from None
+                                f"part of the complex step ({exc})") from None
         # A field that depends on no coordinate has length 1 on the leading
         # axis; the division spreads it to the four directions.
-        return np.divide(np.imag(a), COMPLEX_STEP, out=np.empty((4,) + np.shape(a)[1:]))
+        da = np.divide(np.imag(a), COMPLEX_STEP, out=np.empty((4,) + np.shape(a)[1:]))
+        return np.real(a[0]), da
 
     def params(self) -> dict:
         return {}
@@ -301,7 +305,7 @@ class GridModel(InitialDataModel):
         self._check_angles(theta, psi, phi)
         return self.h_data[self._radius_index(r)]
 
-    def da_coord(self, r, theta, psi, phi):
+    def a_and_da(self, r, theta, psi, phi):
         self._check_angles(theta, psi, phi)
         i = self._radius_index(r)
         # Radial derivative of the quadratic through the nearest three radii.
@@ -318,7 +322,7 @@ class GridModel(InitialDataModel):
         dth = np.einsum("ij,...jabkl->...iabkl", self._dth, slab)
         dps = np.einsum("ij,...ajbkl->...aibkl", self._dps, slab)
         dph = np.einsum("ij,...abjkl->...abikl", self._dph, slab)
-        return np.stack([dr, dth, dps, dph])
+        return slab, np.stack([dr, dth, dps, dph])
 
     def params(self):
         return {"file": self.path}
@@ -375,7 +379,7 @@ def angular_factors(theta, psi) -> tuple:
 def mass_aspect_grid(a, da, r, angular: tuple, k: ModelConstants) -> np.ndarray:
     """Radial mass aspect e_1 of the fields a (shape S + (4, 4)) and their
     coordinate derivatives da ((4,) + S + (4, 4)), as a model's `a` and
-    `da_coord` return them at (r, theta, psi, phi), with `angular` =
+    `a_and_da` return them at (r, theta, psi, phi), with `angular` =
     angular_factors(theta, psi); shape broadcast(S, theta, psi).
 
     r > 0 is a radius or an array of radii that broadcasts against the
@@ -466,10 +470,10 @@ def decay_validate(model: InitialDataModel, radii: Sequence[float],
     # largest |component| on each sphere has length 1 for a field that does
     # not depend on r, whose exponent is then 0 as with equal norms.
     nodes = (np.reshape(radii, (-1, 1, 1, 1)), grid.theta, grid.psi, grid.phi)
+    a, da = model.a_and_da(*nodes)
     sa, sda, sh = (_decay_exponent(np.max(np.abs(f), axis=(-5, -4, -3, -2, -1)),
                                    radii, k.kappa)
-                   for f in (model.a(*nodes), model.da_coord(*nodes)[0],
-                             model.h(*nodes)))
+                   for f in (a, da[0], model.h(*nodes)))
     vacuous = sa is None and sda is None and sh is None
     threshold = model.tau - 0.1
     passed = all(s is None or s >= threshold for s in (sa, sda, sh))

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import gamma
-from .geometry import ModelConstants, SlicePoint, frame_scales, spin_connection_grid
+from .geometry import ModelConstants, frame_scales, spin_connection_grid
 
 __all__ = [
     "KillingParams",
     "profiles",
-    "killing_spinor",
     "killing_spinor_grid",
     "killing_spinor_residual",
 ]
@@ -78,49 +77,46 @@ def killing_spinor_grid(lam: KillingParams, r, theta, psi, phi, k: ModelConstant
     )
 
 
-def killing_spinor(lam: KillingParams, p: SlicePoint, k: ModelConstants) -> np.ndarray:
-    """Killing spinor value at a single slice point (4 complex components)."""
-    return killing_spinor_grid(lam, p.r, p.theta, p.psi, p.phi, k)
+# gamma_b gamma_c for the spatial frame b, c = 1..4, indexed [b - 1, c - 1],
+# and gamma_a for a = 1..4, indexed [a - 1].
+_GAMMA_SPATIAL = np.array([gamma(a) for a in range(1, 5)])
+_GAMMA_PAIRS = _GAMMA_SPATIAL[:, None] @ _GAMMA_SPATIAL[None, :]
 
 
-def _spinor_covariant_derivative(lam, p, direction, h, k):
-    """nabla_{e_a} Phi by central differences plus the connection term."""
-    coords = np.array([p.r, p.theta, p.psi, p.phi])
-    step = np.zeros(4)
-    step[direction - 1] = h
-    cp = coords + step
-    cm = coords - step
-    omega = spin_connection_grid(p.r, p.theta, p.psi, k)  # raises at a pole
-    phi_p = killing_spinor_grid(lam, cp[0], cp[1], cp[2], cp[3], k)
-    phi_m = killing_spinor_grid(lam, cm[0], cm[1], cm[2], cm[3], k)
-    scale = frame_scales(p.r, p.theta, p.psi, k)[direction - 1]
-    deriv = (phi_p - phi_m) / (2.0 * h * scale)
-    phi0 = killing_spinor(lam, p, k)
-    conn = np.zeros(4, dtype=complex)
-    a = direction - 1
-    for b in range(4):
-        for c in range(4):
-            w = omega[b, c, a]
-            if w:
-                # Sign fixed so the closed-form family closes the residual
-                # test; equivalent to d + (1/4) omega gamma gamma with the
-                # opposite orientation convention for omega.
-                conn -= 0.25 * w * (gamma(b + 1) @ gamma(c + 1) @ phi0)
-    return deriv + conn
+def killing_spinor_residual(lam: KillingParams, p, direction, h, k: ModelConstants):
+    """Norm of nabla_{e_a} Phi + (kappa i / 2) gamma_a Phi, a = direction,
+    at the points p = (r, theta, psi, phi) of the slice; O(h^2) for the
+    closed-form family.
 
-
-def killing_spinor_residual(
-    lam: KillingParams,
-    p: SlicePoint,
-    direction: int,
-    h: float,
-    k: ModelConstants,
-) -> float:
-    """Norm of nabla_{e_a} Phi + (kappa i / 2) gamma_a Phi; O(h^2) for the
-    closed-form family."""
-    if direction not in (1, 2, 3, 4):
+    The coordinates, the directions (in 1..4), the steps h and the
+    parameters of lam broadcast to a common shape P, the shape of the
+    result.  nabla_{e_a} Phi is the central difference of Phi with step h
+    along coordinate a, divided by the frame factor, plus the connection
+    term.
+    """
+    direction = np.asarray(direction)
+    if not np.all(np.isin(direction, (1, 2, 3, 4))):
         raise IndexError(f"direction must be in 1..4, got {direction}")
-    nabla = _spinor_covariant_derivative(lam, p, direction, h, k)
-    phi0 = killing_spinor(lam, p, k)
-    residual = nabla + 0.5j * k.kappa * (gamma(direction) @ phi0)
-    return float(np.linalg.norm(residual))
+    arrays = np.broadcast_arrays(*p, direction, h, *lam.as_array())
+    # One flat axis even for a single point: numpy's array loops give a point
+    # the same bits in any batch, where its scalar arithmetic would not.
+    *coords, direction, h, l1, l2, l3, l4 = (c.reshape(-1) for c in arrays)
+    x = np.array(coords, dtype=float)
+    lam = KillingParams(l1, l2, l3, l4)
+    a = direction - 1
+    # omega_{bc a} for the direction a of each point.
+    omega = spin_connection_grid(*x[:3], k)  # raises at a pole
+    omega = np.take_along_axis(omega, a[None, None, None], axis=2)[:, :, 0]
+    on_axis = np.arange(4)[:, None] == a
+    step = np.where(on_axis, h, 0.0)
+    phi_p = killing_spinor_grid(lam, *(x + step), k)
+    phi_m = killing_spinor_grid(lam, *(x - step), k)
+    scale = np.take_along_axis(frame_scales(*x[:3], k), a[None], axis=0)[0]
+    deriv = (phi_p - phi_m) / (2.0 * h * scale)
+    phi0 = killing_spinor_grid(lam, *x, k)
+    # Sign fixed so the closed-form family closes the residual test;
+    # equivalent to d + (1/4) omega gamma gamma with the opposite orientation
+    # convention for omega.
+    conn = -0.25 * np.einsum("bcn,bcij,jn->in", omega, _GAMMA_PAIRS, phi0)
+    rotation = 0.5j * k.kappa * np.einsum("nij,jn->in", _GAMMA_SPATIAL[a], phi0)
+    return np.linalg.norm(deriv + conn + rotation, axis=0).reshape(arrays[0].shape)

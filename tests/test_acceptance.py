@@ -15,7 +15,7 @@ import pytest
 from adspet.charges import ChargeSet, compute_charges, derived
 from adspet.cli import main as cli_main
 from adspet.clifford import ETA, gamma
-from adspet.geometry import ModelConstants, QuadratureSpec, SlicePoint
+from adspet.geometry import ModelConstants, QuadratureSpec
 from adspet.initial_data import (
     AdsExactModel,
     OffdiagMomentumModel,
@@ -32,7 +32,7 @@ from adspet.qmatrix import (
     theorem_bounds,
     third_minor_sum,
 )
-from adspet.spinors import KillingParams, killing_spinor, killing_spinor_residual
+from adspet.spinors import KillingParams, killing_spinor_grid, killing_spinor_residual
 
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
@@ -66,24 +66,21 @@ def test_criterion_1_clifford(capsys):
 def test_criterion_2_spinor_family(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(0)
-    ok = True
+    lams, points, directions = [], [], []
     for _ in range(100):
-        lam = KillingParams(
-            *(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        )
-        p = SlicePoint(
-            r=0.5 + 2.5 * rng.random(),
-            theta=0.3 + 2.5 * rng.random(),
-            psi=0.3 + 2.5 * rng.random(),
-            phi=2 * math.pi * rng.random(),
-        )
-        d = int(rng.integers(1, 5))
-        r1 = killing_spinor_residual(lam, p, d, 1e-3, K1)
-        r2 = killing_spinor_residual(lam, p, d, 5e-4, K1)
-        norm = np.linalg.norm(killing_spinor(lam, p, K1))
-        ok = ok and r1 < 1e-5 * norm
-        if r2 > 1e-13:
-            ok = ok and 3.5 < r1 / r2 < 4.5
+        lams.append(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        points.append((0.5 + 2.5 * rng.random(), 0.3 + 2.5 * rng.random(),
+                       0.3 + 2.5 * rng.random(), 2 * math.pi * rng.random()))
+        directions.append(int(rng.integers(1, 5)))
+    lam = KillingParams(*np.transpose(lams))
+    p = tuple(np.transpose(points))
+    r1 = killing_spinor_residual(lam, p, directions, 1e-3, K1)
+    r2 = killing_spinor_residual(lam, p, directions, 5e-4, K1)
+    norm = np.linalg.norm(killing_spinor_grid(lam, *p, K1), axis=0)
+    ok = bool(np.all(r1 < 1e-5 * norm))
+    tested = r2 > 1e-13
+    ok = ok and bool(np.all((3.5 < r1[tested] / r2[tested])
+                            & (r1[tested] / r2[tested] < 4.5)))
     ok = ok and (time.perf_counter() - start) < 5.0
     report(capsys, 2, "spinor equation residuals second order", ok)
 
@@ -93,24 +90,22 @@ def test_criterion_3_killing_fields(capsys):
     rng = np.random.default_rng(1)
     ok = True
     for lab in ALL_LABELS:
-        for _ in range(4):
-            x = np.array(
-                [
-                    rng.standard_normal(),
-                    0.8 + 2.0 * rng.random(),
-                    0.3 + 2.5 * rng.random(),
-                    0.3 + 2.5 * rng.random(),
-                    2 * math.pi * rng.random(),
-                ]
-            )
-            r1 = killing_residual(lab, x, 1e-3, K1)
-            if lab in ((5, 0), (1, 2)):
-                ok = ok and r1 < 1e-12
-                continue
-            if r1 < 1e-10:
-                continue
-            r2 = killing_residual(lab, x, 5e-4, K1)
-            ok = ok and 3.5 < r1 / r2 < 4.5
+        x = np.array([
+            [
+                rng.standard_normal(),
+                0.8 + 2.0 * rng.random(),
+                0.3 + 2.5 * rng.random(),
+                0.3 + 2.5 * rng.random(),
+                2 * math.pi * rng.random(),
+            ]
+            for _ in range(4)
+        ]).T
+        r1, _ = killing_residual(lab, x, 1e-3, K1)
+        if lab in ((5, 0), (1, 2)):
+            ok = ok and bool(np.all(r1 < 1e-12))
+            continue
+        r2, _ = killing_residual(lab, x, 5e-4, K1)
+        ok = ok and bool(np.all((3.5 < r1 / r2) & (r1 / r2 < 4.5)))
     ok = ok and (time.perf_counter() - start) < 10.0
     report(capsys, 3, "all 15 Killing fields verified", ok)
 

@@ -359,7 +359,7 @@ def test_errors_are_raised_on_a_cache_hit_as_on_a_miss():
 
     def e1(r, theta=grid.theta, psi=grid.psi):
         nodes = (r, theta, psi, grid.phi)
-        return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), r,
+        return mass_aspect_grid(*model.a_and_da(*nodes), r,
                                 angular_factors(theta, psi), K1)
 
     # Warm the grid's tables and the radial scalars at r = 4.
@@ -412,19 +412,21 @@ BUNDLED += [OffdiagMomentumModel(q=0.05, axis=axis, profile=profile,
 RADII = (4.0, 5.0, 6.5, 7.0)
 
 
-def _check_batched_pass(model, nodes, monkeypatch, a_calls=2):
-    # The model's fields are evaluated once, every radius at once (a twice
-    # for an analytic model: once itself and once, at the four complex
-    # steps, inside da_coord); the result is each radius's own pass, stacked.
+def _check_batched_pass(model, nodes, monkeypatch, a_calls=1):
+    # The model's fields are evaluated once, every radius at once (a once
+    # for an analytic model, at the four complex steps inside a_and_da,
+    # whose real part is a itself); the result is each radius's own pass,
+    # stacked.
     calls = {}
-    for name in ("a", "h", "da_coord"):
+    for name in ("a", "h", "a_and_da"):
         def counted(*args, _name=name, _f=getattr(model, name)):
             calls.setdefault(_name, []).append(np.shape(args[0])[-4:])
             return _f(*args)
         monkeypatch.setattr(model, name, counted)
     batch = charge_surface_values(model, np.array(RADII), *nodes)
     every = (len(RADII), 1, 1, 1)
-    assert calls == {"a": [every] * a_calls, "h": [every], "da_coord": [every]}
+    want = {"a": [every] * a_calls, "h": [every], "a_and_da": [every]}
+    assert calls == {name: shapes for name, shapes in want.items() if shapes}
     alone = [charge_surface_values(model, r, *nodes) for r in RADII]
     assert batch.values.shape == batch.scales.shape == (len(RADII), 15)
     assert np.array_equal(batch.r, RADII)
@@ -463,5 +465,5 @@ def test_batched_surface_pass_on_full_shape_data(tmp_path, monkeypatch):
     assert model.a(np.array(RADII)[:, None, None, None],
                    *(getattr(model.grid, x) for x in ("theta", "psi", "phi"))
                    ).shape == (len(RADII), 8, 6, 10, 4, 4)
-    # Its da_coord differentiates the file's data and does not call a.
-    _check_batched_pass(model, (8, 6, 10), monkeypatch, a_calls=1)
+    # Its a_and_da differentiates the file's data and does not call a.
+    _check_batched_pass(model, (8, 6, 10), monkeypatch, a_calls=0)

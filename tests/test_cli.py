@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from adspet import cli
+from adspet import cli, killing
 from adspet.cli import main
 from adspet.initial_data import RadialBumpModel, write_grid_file
 
@@ -76,10 +76,9 @@ def test_verify_killing_reports_the_deciding_ratio(ratios, code, reported,
                                                    tmp_path, monkeypatch, capsys):
     # The report carries the ratio farthest from 4, which decides the
     # verdict, not the last sample's.
-    steps = iter(ratios)
-
     def residual(label, x, h, k):
-        return 1e-6 if h == 1e-3 else 1e-6 / next(steps)
+        ones = np.ones(x.shape[1:])
+        return 1e-6 * ones / (1.0 if h == 1e-3 else np.array(ratios)), ones
 
     monkeypatch.setattr(cli, "killing_residual", residual)
     out = tmp_path / "killing.json"
@@ -90,6 +89,106 @@ def test_verify_killing_reports_the_deciding_ratio(ratios, code, reported,
         assert math.isnan(ratio)
     else:
         assert ratio == pytest.approx(reported)
+    capsys.readouterr()
+
+
+def test_verify_killing_judges_the_coordinate_symmetries(monkeypatch, capsys):
+    # d/dt and d/dphi have no h^2 law; their residual is judged against the
+    # roundoff of the Lie derivative's terms.  A d/dt field off by 1e-9 of
+    # itself, varying with r, fails.
+    field = killing.spacetime_killing_vector
+
+    def skewed(label, x, k):
+        u = field(label, x, k)
+        if killing.normalize_label(label)[0] == (5, 0):
+            u = u * (1.0 + 1e-9 * np.sin(k.kappa * np.asarray(x)[1]))
+        return u
+
+    for kappa in ("1", "30"):
+        argv = ["verify", "killing", "--label", "5,0", "--kappa", kappa,
+                "--samples", "20", "--quiet"]
+        assert main(argv) == 0
+        monkeypatch.setattr(killing, "spacetime_killing_vector", skewed)
+        assert main(argv) == 1
+        monkeypatch.undo()
+    capsys.readouterr()
+
+
+# The reports of the pointwise verifier, before it was batched (seed 0): each
+# label's (max_residual, ratio) of `verify killing --samples 300` at kappa 1
+# and 30.
+FROZEN_KILLING = {
+    "1": {
+        (5, 0): (0.0, None),
+        (1, 0): (0.00014964802123529353, 4.000024348829334),
+        (2, 0): (0.00020446239567206703, 4.0000230296490615),
+        (3, 0): (7.005859117725777e-05, 4.000018865742969),
+        (4, 0): (7.390867719436756e-05, 3.999972996155909),
+        (1, 5): (0.00032956661142691246, 4.000028824603582),
+        (2, 5): (4.2782606406888135e-05, 3.999977094194434),
+        (3, 5): (5.848577536049504e-05, 4.000023881533951),
+        (4, 5): (1.820064959190404e-05, 3.9999896762916682),
+        (1, 2): (0.0, None),
+        (1, 3): (0.0001591974039669708, 4.000023607927957),
+        (1, 4): (0.00012411474394014022, 4.000030633185301),
+        (2, 3): (3.2820899786401014e-05, 4.000025542168352),
+        (2, 4): (0.00022505343098799813, 4.000025468752076),
+        (3, 4): (6.027369129668614e-05, 4.000023117800054),
+    },
+    "30": {
+        (5, 0): (0.0, None),
+        (1, 0): (2.2926639122289316e-05, 3.9999854156619588),
+        (2, 0): (3.543475430234366e-05, 4.000064131220788),
+        (3, 0): (3.147591896635049e-05, 4.000009675916016),
+        (4, 0): (7.39086784022902e-05, 4.000010858849971),
+        (1, 5): (2.546300063244189e-05, 4.0000186130545),
+        (2, 5): (4.278259338263979e-05, 4.000012044819647),
+        (3, 5): (4.540211845949216e-05, 3.999984379894776),
+        (4, 5): (1.7339342413436043e-05, 3.9999582721695215),
+        (1, 2): (0.0, None),
+        (1, 3): (1.7688600568305235e-07, 4.000023976128993),
+        (1, 4): (1.3790527104984296e-07, 4.000030662255038),
+        (2, 3): (3.6467667090950284e-08, 4.000027128170885),
+        (2, 4): (2.5005936826749675e-07, 4.000025468635949),
+        (3, 4): (6.697076634226695e-08, 4.000023117665751),
+    },
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(FROZEN_KILLING))
+def test_verify_killing_matches_frozen_report(kappa, tmp_path, capsys):
+    # The points are drawn in the rng's order, label by label, so every
+    # label sees the points it saw when each was evaluated alone.
+    out = tmp_path / "killing.json"
+    assert main(["verify", "killing", "--kappa", kappa, "--samples", "300",
+                 "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    frozen = FROZEN_KILLING[kappa]
+    assert [tuple(f["label"]) for f in data["fields"]] == list(frozen)
+    for f in data["fields"]:
+        residual, ratio = frozen[tuple(f["label"])]
+        assert abs(f["max_residual"] - residual) <= 1e-12 * residual
+        if ratio is None:
+            assert f["ratio"] is None
+        else:
+            assert abs(f["ratio"] - ratio) <= 1e-12 * ratio
+    capsys.readouterr()
+
+
+def test_verify_spinors_matches_frozen_report(tmp_path, capsys):
+    # The report of the pointwise verifier, before it was batched (seed 0,
+    # kappa 1, 100 samples).  The finite difference's roundoff, eps / h of
+    # kappa |Phi0|, is about 1e-6 of the largest residual (1e-7 kappa |Phi0|)
+    # and about 1e-5 of a ratio's smaller residual, so a change in the last
+    # bit of Phi moves them that far.
+    out = tmp_path / "spinors.json"
+    assert main(["verify", "spinors", "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert data["passed"] is True
+    assert data["max_relative_residual"] == pytest.approx(9.395412043667823e-08,
+                                                          rel=1e-5)
+    assert data["ratio_min"] == pytest.approx(3.9997001168322166, rel=1e-4)
+    assert data["ratio_max"] == pytest.approx(4.000326359151122, rel=1e-4)
     capsys.readouterr()
 
 

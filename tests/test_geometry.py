@@ -12,7 +12,6 @@ from adspet.geometry import (
     ModelConstants,
     NumericalError,
     QuadratureSpec,
-    SlicePoint,
     frame_scales,
     radial_limit,
     sphere_grid,
@@ -27,16 +26,6 @@ def test_constants_validation():
     for kappa in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             ModelConstants(kappa)
-
-
-def test_slice_point_ranges():
-    SlicePoint(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SlicePoint(-1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SlicePoint(1.0, 4.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SlicePoint(1.0, 1.0, 1.0, 7.0)
 
 
 def test_quadrature_spec_validation():
@@ -80,17 +69,16 @@ def test_measure_density_and_pole_errors():
     s = frame_scales(1.0, math.pi / 2, math.pi / 2, K1)
     assert np.prod(s[1:]) == pytest.approx(math.sinh(1.0) ** 3)
     # At a theta pole the angular scales vanish; the connection is singular.
-    pole = SlicePoint(1.0, 0.0, 1.0, 0.0)
-    assert np.all(frame_scales(pole.r, pole.theta, pole.psi, K1)[2:] == 0.0)
+    r, theta, psi = 1.0, 0.0, 1.0
+    assert np.all(frame_scales(r, theta, psi, K1)[2:] == 0.0)
     with pytest.raises(DegenerateCoordinateError):
-        spin_connection_grid(pole.r, pole.theta, pole.psi, K1)
+        spin_connection_grid(r, theta, psi, K1)
 
 
 def test_spin_connection_values():
     # Radial coefficients are kappa*coth(kappa r) for each angular leg.
     # om[a, b, c] holds omega_{ab c} with 0-based frame indices.
-    p = SlicePoint(1.5, 1.0, 1.2, 0.3)
-    om = spin_connection_grid(p.r, p.theta, p.psi, K1)
+    om = spin_connection_grid(1.5, 1.0, 1.2, K1)
     coth = 1.0 / math.tanh(1.5)
     for a in (1, 2, 3):
         assert om[a, 0, a] == pytest.approx(coth)

@@ -11,7 +11,6 @@ from adspet.geometry import (
     DegenerateCoordinateError,
     ModelConstants,
     NumericalError,
-    SlicePoint,
     frame_scales,
     sphere_grid,
     spin_connection_grid,
@@ -35,17 +34,14 @@ from adspet.initial_data import (
 )
 
 K1 = ModelConstants(1.0)
-P = SlicePoint(2.0, 1.1, 0.9, 2.3)
-
-
-def at(p):
-    return (p.r, p.theta, p.psi, p.phi)
+# A point (r, theta, psi, phi) of the slice.
+P = (2.0, 1.1, 0.9, 2.3)
 
 
 def e1_of(model, r, theta, psi, phi):
     """The mass aspect of a model's own fields at the nodes."""
     nodes = (r, theta, psi, phi)
-    return mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), r,
+    return mass_aspect_grid(*model.a_and_da(*nodes), r,
                             angular_factors(theta, psi), model.constants)
 
 
@@ -68,8 +64,8 @@ def test_ads_exact_fields_vanish():
     model = AdsExactModel(K1)
     assert np.all(model.a(2.0, 1.0, 1.0, 1.0) == 0.0)
     assert np.all(model.h(2.0, 1.0, 1.0, 1.0) == 0.0)
-    assert e1_of(model, *at(P)) == 0.0
-    assert np.all(p_of(model, *at(P)) == 0.0)
+    assert e1_of(model, *P) == 0.0
+    assert np.all(p_of(model, *P) == 0.0)
 
 
 def test_radial_bump_field_values():
@@ -84,15 +80,14 @@ def test_radial_bump_field_values():
 def test_radial_bump_mass_aspect_closed_form():
     for sigma in (4.0, 3.0):
         model = RadialBumpModel(m=0.1, sigma=sigma, constants=K1)
-        e1 = e1_of(model, *at(P))
-        assert e1 == pytest.approx(bump_e1(0.1, sigma, 1.0, P.r), rel=1e-12)
+        e1 = e1_of(model, *P)
+        assert e1 == pytest.approx(bump_e1(0.1, sigma, 1.0, P[0]), rel=1e-12)
 
 
 def test_radial_bump_mass_aspect_other_kappa():
     k2 = ModelConstants(2.0)
     model = RadialBumpModel(m=0.05, sigma=4.0, constants=k2)
-    p = SlicePoint(1.5, 1.0, 1.0, 1.0)
-    e1 = e1_of(model, *at(p))
+    e1 = e1_of(model, 1.5, 1.0, 1.0, 1.0)
     assert e1 == pytest.approx(bump_e1(0.05, 4.0, 2.0, 1.5), rel=1e-12)
 
 
@@ -103,8 +98,10 @@ def _assert_close(got, want, rel=1e-14):
 
 @pytest.mark.parametrize("kappa", [1.0, 1.7])
 def test_radial_bump_derivative_closed_form(kappa):
-    # da_coord is the complex step; the closed form d_r a = -sigma kappa a,
-    # with no angular derivative, is the reference.
+    # da is the complex step; the closed form d_r a = -sigma kappa a, with
+    # no angular derivative, is the reference.  a is the step's real part:
+    # a() to the last bit, which numpy's complex exp (the C library's) and
+    # its real exp (its own) round apart at a few percent of radii.
     k = ModelConstants(kappa)
     model = RadialBumpModel(m=0.1, sigma=4.0, constants=k)
 
@@ -113,17 +110,20 @@ def test_radial_bump_derivative_closed_form(kappa):
         out[0] = (-4.0 * kappa * 0.1 * np.exp(-4.0 * kappa * r))[..., None, None] * np.eye(4)
         return out
 
-    _assert_close(model.da_coord(2.0, 1.0, 1.0, 1.0), want(np.float64(2.0), ()))
+    a, da = model.a_and_da(2.0, 1.0, 1.0, 1.0)
+    _assert_close(da, want(np.float64(2.0), ()))
+    _assert_close(a, model.a(2.0, 1.0, 1.0, 1.0), rel=2 ** -52)
     g = sphere_grid(8, 6, 10)
     radii = np.array([4.0, 5.0, 6.5, 7.0]).reshape(-1, 1, 1, 1)
-    da = model.da_coord(radii, g.theta, g.psi, g.phi)
+    a, da = model.a_and_da(radii, g.theta, g.psi, g.phi)
     assert da.shape == (4, 4, 1, 1, 1, 4, 4)
     _assert_close(da, want(radii, radii.shape))
+    _assert_close(a, model.a(radii, g.theta, g.psi, g.phi), rel=2 ** -52)
 
 
 class AllCoordinatesModel(InitialDataModel):
     """a = m exp(-4 kappa r) sin(theta) cos(psi) sin(phi) delta_ij, h = 0:
-    a field with a derivative along every coordinate and no da_coord of
+    a field with a derivative along every coordinate and no a_and_da of
     its own."""
 
     name = "all_coordinates"
@@ -153,7 +153,9 @@ def test_complex_step_matches_the_closed_form_on_every_axis(kappa):
         rad * np.cos(t) * np.cos(p) * np.sin(f),
         -rad * np.sin(t) * np.sin(p) * np.sin(f),
         rad * np.sin(t) * np.cos(p) * np.cos(f)))[..., None, None] * np.eye(4)
-    _assert_close(model.da_coord(r, t, p, f), want)
+    a, da = model.a_and_da(r, t, p, f)
+    _assert_close(da, want)
+    _assert_close(a, model.a(r, t, p, f))
 
 
 def test_complex_step_refuses_a_model_that_drops_it():
@@ -168,13 +170,13 @@ def test_complex_step_refuses_a_model_that_drops_it():
     model = CastingModel(m=0.1, constants=K1)
     g = sphere_grid(8, 6, 10)
     with pytest.raises(TypeError, match="model 'casting'.*imaginary part"):
-        model.da_coord(5.0, g.theta, g.psi, g.phi)
+        model.a_and_da(5.0, g.theta, g.psi, g.phi)
     with pytest.raises(TypeError, match="model 'casting'"):
         decay_validate(model, (4.0, 5.0, 6.0))
 
 
 def test_only_grid_models_define_their_own_derivative():
-    # Every analytic model takes the one complex-step da_coord of the base
+    # Every analytic model takes the one complex-step a_and_da of the base
     # class; file data are not analytic, so grid models differentiate their
     # samples.
     classes = [cls for cls in vars(initial_data).values()
@@ -182,7 +184,8 @@ def test_only_grid_models_define_their_own_derivative():
                and cls is not InitialDataModel]
     assert {cls.name for cls in classes} == {
         "ads_exact", "radial_bump", "offdiag_momentum", "grid"}
-    assert [cls for cls in classes if "da_coord" in vars(cls)] == [GridModel]
+    assert [cls for cls in classes if "a_and_da" in vars(cls)] == [GridModel]
+    assert not any(hasattr(cls, "da_coord") for cls in classes + [InitialDataModel])
     assert not any(hasattr(cls, "fd_step") for cls in classes + [InitialDataModel])
 
 
@@ -190,7 +193,7 @@ def test_mass_aspect_quadratic_remainder():
     # The aspect has a linear and a quadratic part in the amplitude:
     # E(2m) - 2 E(m) isolates the quadratic term, which scales by 4.
     def e1(m):
-        return e1_of(RadialBumpModel(m=m, constants=K1), *at(P))
+        return e1_of(RadialBumpModel(m=m, constants=K1), *P)
 
     quad_1 = e1(0.2) - 2.0 * e1(0.1)
     quad_2 = e1(0.4) - 2.0 * e1(0.2)
@@ -200,8 +203,8 @@ def test_mass_aspect_quadratic_remainder():
 def test_offdiag_momentum_aspect():
     model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta",
                                  constants=K1)
-    pa = p_of(model, *at(P))
-    expect = 0.05 * math.exp(-4.0 * P.r) * math.sin(P.theta)
+    pa = p_of(model, *P)
+    expect = 0.05 * math.exp(-4.0 * P[0]) * math.sin(P[1])
     # trace-free field, so the aspect equals h itself
     assert pa[1, 0] == pytest.approx(expect, rel=1e-13)
     assert pa[0, 1] == pytest.approx(expect, rel=1e-13)
@@ -218,7 +221,7 @@ def test_momentum_aspect_trace_adjustment():
             return np.broadcast_to(np.eye(4), shape + (4, 4)).copy()
 
     model = DiagH(q=0.0, axis=2, constants=K1)
-    pa = p_of(model, *at(P))
+    pa = p_of(model, *P)
     # h = Id, tr h = 4, a = 0: P = Id - 4 Id = -3 Id
     assert np.allclose(pa, -3.0 * np.eye(4))
 
@@ -343,7 +346,7 @@ def test_grid_model_angular_derivatives(tmp_path):
                     nphi=8)
     loaded = read_grid_file(path)
     g = loaded.grid
-    da = loaded.da_coord(4.2, g.theta, g.psi, g.phi)
+    da = loaded.a_and_da(4.2, g.theta, g.psi, g.phi)[1]
     th = g.theta[:, 0, 0]
     expect = 0.1 * math.exp(-16.8) * 2.0 * np.sin(th) * np.cos(th)
     got = da[1][:, 0, 0, 0, 0]
@@ -360,7 +363,7 @@ def test_grid_model_radial_derivative_exact_for_quadratics():
     model = GridModel(radii, 4, 4, 4, a_data, np.zeros_like(a_data), 3.0, K1)
     g = model.grid
     for r in radii:
-        got = model.da_coord(r, g.theta, g.psi, g.phi)[0]
+        got = model.a_and_da(r, g.theta, g.psi, g.phi)[1][0]
         expect = (-0.2 + 0.1 * r) * base
         assert np.allclose(got, expect, rtol=1e-12, atol=0.0), r
 
@@ -403,10 +406,10 @@ class TiltedModel(InitialDataModel):
     def h(self, r, theta, psi, phi):
         return np.zeros_like(self.a(r, theta, psi, phi))
 
-    def da_coord(self, r, theta, psi, phi):
+    def a_and_da(self, r, theta, psi, phi):
         rad, g, dg = self._fields(r, theta, psi, phi)
-        return np.stack([-4.0 * rad * (self.S + g * self.B)]
-                        + [rad * d * self.B for d in dg])
+        return rad * (self.S + g * self.B), np.stack(
+            [-4.0 * rad * (self.S + g * self.B)] + [rad * d * self.B for d in dg])
 
 
 def test_mass_aspect_frozen_on_angle_dependent_data():
@@ -427,8 +430,7 @@ def dense_mass_aspect(model, r, theta, psi, phi):
 
     Returns e_1 and the largest absolute value of its terms."""
     k = model.constants
-    a = model.a(r, theta, psi, phi)
-    da = model.da_coord(r, theta, psi, phi)
+    a, da = model.a_and_da(r, theta, psi, phi)
     scales = frame_scales(r, theta, psi, k)
     omega = spin_connection_grid(r, theta, psi, k)
     terms = [da[j][..., 0, j] / scales[j] for j in range(4)]
@@ -442,7 +444,7 @@ def dense_mass_aspect(model, r, theta, psi, phi):
 
 
 class FixedFieldsModel(InitialDataModel):
-    """Given a and da_coord at every node of one grid, at any radius."""
+    """Given a and da at every node of one grid, at any radius."""
 
     name = "fixed"
 
@@ -456,8 +458,8 @@ class FixedFieldsModel(InitialDataModel):
     def h(self, r, theta, psi, phi):
         return np.zeros_like(self._a)
 
-    def da_coord(self, r, theta, psi, phi):
-        return self._da
+    def a_and_da(self, r, theta, psi, phi):
+        return self._a, self._da
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.7])
@@ -524,10 +526,13 @@ def test_grid_model_takes_a_batch_of_radii(tmp_path):
     g = model.grid
     angles = (g.theta, g.psi, g.phi)
     batch = np.array([5.1, 4.0, 5.5])
-    for f in (model.a, model.h, model.da_coord):
+    fields = {"a": model.a, "h": model.h,
+              "a of a_and_da": lambda *x: model.a_and_da(*x)[0],
+              "da": lambda *x: model.a_and_da(*x)[1]}
+    for name, f in fields.items():
         got = f(batch[:, None, None, None], *angles)
         want = np.stack([f(r, *angles) for r in batch], axis=-6)
-        assert np.array_equal(got, want), f.__name__
+        assert np.array_equal(got, want), name
     with pytest.raises(ValueError, match="own radii"):
         model.a(np.array([4.0, 4.7])[:, None, None, None], *angles)
 
@@ -550,7 +555,7 @@ OWN_SHAPES = [
 def test_analytic_fields_keep_their_own_angular_shape(model, shape_a, shape_h):
     g = sphere_grid(32, 32, 32)
     angles = (g.theta, g.psi, g.phi)
-    a, h, da = (f(5.0, *angles) for f in (model.a, model.h, model.da_coord))
+    (a, da), h = model.a_and_da(5.0, *angles), model.h(5.0, *angles)
     assert a.shape == shape_a + (4, 4)
     assert h.shape == shape_h + (4, 4)
     assert da.shape == (4,) + shape_a + (4, 4)
@@ -590,7 +595,7 @@ def test_write_grid_file_bytes_frozen(tmp_path, config):
 def _count_field_calls(model, monkeypatch):
     # The radii each field is called with, one entry per call.
     calls = {}
-    for name in ("a", "h", "da_coord"):
+    for name in ("a", "h", "a_and_da"):
         def counted(*args, _name=name, _f=getattr(model, name)):
             calls.setdefault(_name, []).append(np.shape(args[0])[-4:])
             return _f(*args)
@@ -605,18 +610,18 @@ DECAY_MODELS = [AdsExactModel(K1), RadialBumpModel(m=0.1, constants=K1),
 @pytest.mark.parametrize("model", DECAY_MODELS, ids=lambda m: m.name)
 def test_decay_evaluates_every_radius_at_once(model, monkeypatch):
     # Each field is evaluated once, with the radii on an axis of their own
-    # (a twice: once itself and once, at the four complex steps, inside
-    # da_coord); the exponents are those of one sphere at a time, bit for bit.
+    # (a once, at the four complex steps inside a_and_da, whose real part is
+    # a itself); the exponents are those of one sphere at a time, bit for bit.
     radii = (4.0, 5.0, 6.5, 7.0)
     g = sphere_grid(8, 8, 8)
     norms = {name: [np.max(np.abs(f(r, g.theta, g.psi, g.phi)))
                     for r in radii]
              for name, f in (("a", model.a), ("h", model.h),
-                             ("da", lambda *x: model.da_coord(*x)[0]))}
+                             ("da", lambda *x: model.a_and_da(*x)[1][0]))}
     calls = _count_field_calls(model, monkeypatch)
     rep = decay_validate(model, radii)
     every = (len(radii), 1, 1, 1)
-    assert calls == {"a": [every] * 2, "h": [every], "da_coord": [every]}
+    assert calls == {"a": [every], "h": [every], "a_and_da": [every]}
     for field, name in (("sigma_a", "a"), ("sigma_h", "h"), ("sigma_grad_a", "da")):
         assert getattr(rep, field) == _decay_exponent(norms[name], radii, 1.0)
 

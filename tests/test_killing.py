@@ -102,6 +102,15 @@ def test_frame_components_are_finite_at_the_poles(kappa):
             assert np.max(np.abs(pole - near)) < 10 * delta * max(1.0, np.max(np.abs(near)))
 
 
+def _sample_points(rng, n, kappa=1.0):
+    """n points (t, r, theta, psi, phi) off the poles: shape (5, n)."""
+    return np.array([rng.standard_normal(n) / kappa,
+                     (0.8 + 2.0 * rng.random(n)) / kappa,
+                     0.3 + 2.5 * rng.random(n),
+                     0.3 + 2.5 * rng.random(n),
+                     2 * math.pi * rng.random(n)])
+
+
 def test_killing_equation_all_labels():
     rng = np.random.default_rng(17)
     for lab in ALL_LABELS:
@@ -114,25 +123,73 @@ def test_killing_equation_all_labels():
                 2 * math.pi * rng.random(),
             ]
         )
-        r1 = killing_residual(lab, x, 1e-3, K1)
+        r1, _ = killing_residual(lab, x, 1e-3, K1)
         if lab in ((5, 0), (1, 2)):
             continue  # coordinate symmetry (d/dt, d/dphi), exact up to roundoff
-        r2 = killing_residual(lab, x, 5e-4, K1)
+        r2, _ = killing_residual(lab, x, 5e-4, K1)
         assert 3.5 < r1 / r2 < 4.5, lab
 
 
 def test_symmetry_labels_exact():
     x = np.array([0.4, 2.0, 1.1, 0.9, 2.7])
-    assert killing_residual((5, 0), x, 1e-3, K1) < 1e-11
-    assert killing_residual((1, 2), x, 1e-3, K1) < 1e-11
+    assert killing_residual((5, 0), x, 1e-3, K1)[0] < 1e-11
+    assert killing_residual((1, 2), x, 1e-3, K1)[0] < 1e-11
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0, 30.0, 100.0])
+def test_symmetry_residuals_are_roundoff_of_their_terms(kappa):
+    # d/dt and d/dphi leave a residual below one eps of the size of the Lie
+    # derivative's terms; every other field's h^2 error stands far above it
+    # at kappa 1.
+    k = ModelConstants(kappa)
+    x = _sample_points(np.random.default_rng(3), 200, kappa)
+    eps = np.finfo(float).eps
+    for lab in ALL_LABELS:
+        residual, scale = killing_residual(lab, x, 1e-3, k)
+        assert residual.shape == scale.shape == (200,)
+        assert np.all(residual <= scale)
+        if lab in ((5, 0), (1, 2)):
+            assert np.all(residual <= eps * scale), lab
+        elif kappa == 1.0:
+            assert np.all(residual > 100 * eps * scale), lab
+
+
+def test_residual_of_a_batch_is_each_point_alone():
+    # A single point is a batch with P = (): each point of a batch gets the
+    # bits it gets alone, for every label and step.
+    for kappa in (1.0, 30.0):
+        k = ModelConstants(kappa)
+        x = _sample_points(np.random.default_rng(5), 12, kappa)
+        grid = x.reshape(5, 3, 4)
+        for lab in ALL_LABELS:
+            for h in (1e-3, 5e-4):
+                batch = killing_residual(lab, grid, h, k)
+                alone = np.moveaxis(np.array([killing_residual(lab, x[:, i], h, k)
+                                              for i in range(12)]), 0, -1)
+                assert np.shape(batch) == (2, 3, 4) and alone.shape == (2, 12)
+                assert np.all(np.abs(np.reshape(batch, (2, 12)) - alone)
+                              <= 1e-12 * np.abs(alone)), (lab, h, kappa)
+
+
+def test_fields_and_metric_take_a_batch_of_points():
+    x = _sample_points(np.random.default_rng(9), 6)
+    for lab in ALL_LABELS:
+        batch = spacetime_killing_vector(lab, x, K1)
+        assert batch.shape == (5, 6)
+        for i in range(6):
+            alone = spacetime_killing_vector(lab, x[:, i], K1)
+            assert np.array_equal(batch[:, i], alone)
+    g = ads_metric_diag(x, K1)
+    assert g.shape == (5, 6)
+    assert np.array_equal(g[:, 2], ads_metric_diag(x[:, 2], K1))
 
 
 def test_killing_equation_other_kappa():
     k2 = ModelConstants(2.0)
     x = np.array([0.2, 1.4, 0.8, 1.9, 0.5])
     for lab in ((4, 0), (3, 5), (2, 3)):
-        r1 = killing_residual(lab, x, 1e-3, k2)
-        r2 = killing_residual(lab, x, 5e-4, k2)
+        r1, _ = killing_residual(lab, x, 1e-3, k2)
+        r2, _ = killing_residual(lab, x, 5e-4, k2)
         assert 3.5 < r1 / r2 < 4.5, lab
 
 

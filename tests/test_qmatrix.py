@@ -568,9 +568,9 @@ def test_boundary_identity_evaluates_each_surface_once(monkeypatch):
     class CountingBump(RadialBumpModel):
         calls = 0
 
-        def da_coord(self, r, theta, psi, phi):
+        def a_and_da(self, r, theta, psi, phi):
             CountingBump.calls += 1
-            return super().da_coord(r, theta, psi, phi)
+            return super().a_and_da(r, theta, psi, phi)
 
     profile_calls = []
 
@@ -588,7 +588,7 @@ def test_boundary_identity_evaluates_each_surface_once(monkeypatch):
     model = CountingBump(m=0.1, constants=K1)
     grid = sphere_grid(8, 8, 8)
     nodes = (5.0, grid.theta, grid.psi, grid.phi)
-    e1 = mass_aspect_grid(model.a(*nodes), model.da_coord(*nodes), nodes[0],
+    e1 = mass_aspect_grid(*model.a_and_da(*nodes), nodes[0],
                           angular_factors(*nodes[1:3]), K1)
     assert e1.shape == (8, 8, 1)
     for mode in ("leading", "exact"):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from adspet.geometry import ModelConstants, SlicePoint
+from adspet.geometry import DegenerateCoordinateError, ModelConstants
 from adspet.spinors import (
     KillingParams,
-    killing_spinor,
     killing_spinor_grid,
     killing_spinor_residual,
     profiles,
@@ -80,22 +79,23 @@ def test_norm_asymptotics():
     assert norm2 == pytest.approx(target, rel=1e-6)
 
 
+def _norm(lam, p, k):
+    """|Phi| at the points p = (r, theta, psi, phi)."""
+    return np.linalg.norm(killing_spinor_grid(lam, *p, k), axis=0)
+
+
 def test_residual_second_order_all_directions():
     rng = np.random.default_rng(11)
     for _ in range(10):
         lam = KillingParams(
             *(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         )
-        p = SlicePoint(
-            r=0.5 + 2.0 * rng.random(),
-            theta=0.4 + 2.3 * rng.random(),
-            psi=0.4 + 2.3 * rng.random(),
-            phi=2 * math.pi * rng.random(),
-        )
+        p = (0.5 + 2.0 * rng.random(), 0.4 + 2.3 * rng.random(),
+             0.4 + 2.3 * rng.random(), 2 * math.pi * rng.random())
         d = int(rng.integers(1, 5))
         r1 = killing_spinor_residual(lam, p, d, 1e-3, K1)
         r2 = killing_spinor_residual(lam, p, d, 5e-4, K1)
-        norm = np.linalg.norm(killing_spinor(lam, p, K1))
+        norm = _norm(lam, p, K1)
         assert r1 < 1e-5 * norm
         if r2 > 1e-13:
             assert 3.5 < r1 / r2 < 4.5
@@ -104,18 +104,52 @@ def test_residual_second_order_all_directions():
 def test_residual_scales_with_kappa():
     k3 = ModelConstants(3.0)
     lam = KillingParams(1.0, 0.5j, -1.0, 0.2)
-    p = SlicePoint(1.2, 1.0, 1.4, 0.6)
+    p = (1.2, 1.0, 1.4, 0.6)
     for d in (1, 2, 3, 4):
         r1 = killing_spinor_residual(lam, p, d, 1e-3, k3)
-        norm = np.linalg.norm(killing_spinor(lam, p, k3))
+        norm = _norm(lam, p, k3)
         assert r1 < 1e-4 * norm
 
 
 def test_residual_direction_validation():
     lam = KillingParams(1.0, 0.0, 0.0, 0.0)
-    p = SlicePoint(1.0, 1.0, 1.0, 1.0)
+    p = (1.0, 1.0, 1.0, 1.0)
     with pytest.raises(IndexError):
         killing_spinor_residual(lam, p, 0, 1e-3, K1)
+    with pytest.raises(IndexError):
+        killing_spinor_residual(lam, p, np.array([1, 5]), 1e-3, K1)
+    with pytest.raises(DegenerateCoordinateError):
+        killing_spinor_residual(lam, (1.0, 0.0, 1.0, 1.0), 2, 1e-3, K1)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 30.0])
+def test_residual_of_a_batch_is_each_point_alone(kappa):
+    # Points, directions, steps and lambdas over a common shape P; a single
+    # point is a batch with P = () and gets the bits it gets in the batch.
+    k = ModelConstants(kappa)
+    rng = np.random.default_rng(13)
+    n = 12
+    lams = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    p = ((0.5 + 2.5 * rng.random(n)) / kappa, 0.3 + 2.5 * rng.random(n),
+         0.3 + 2.5 * rng.random(n), 2 * math.pi * rng.random(n))
+    for d in (1, 2, 3, 4):
+        h = 1e-3 / kappa if d == 1 else 1e-3
+        batch = killing_spinor_residual(
+            KillingParams(*lams.reshape(4, 3, 4)),
+            tuple(c.reshape(3, 4) for c in p), d, h, k)
+        alone = np.array([killing_spinor_residual(
+            KillingParams(*lams[:, i]), tuple(c[i] for c in p), d, h, k)
+            for i in range(n)])
+        assert batch.shape == (3, 4) and alone.shape == (n,)
+        assert np.all(np.abs(batch.ravel() - alone) <= 1e-12 * alone), d
+    # A direction and a step per point.
+    d = rng.integers(1, 5, n)
+    h = np.where(d == 1, 1e-3 / kappa, 1e-3)
+    mixed = killing_spinor_residual(KillingParams(*lams), p, d, h, k)
+    for i in range(n):
+        alone = killing_spinor_residual(KillingParams(*lams[:, i]),
+                                        tuple(c[i] for c in p), d[i], h[i], k)
+        assert abs(mixed[i] - alone) <= 1e-12 * alone
 
 
 def test_grid_broadcasting():
