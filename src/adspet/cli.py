@@ -1,9 +1,9 @@
 """Command-line interface with machine-readable JSON reports.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
-(bad arguments or model config), 3 divergence detected, 4 internal
-numerical failure (non-finite surface data, radial factors that overflow
-at a large radius, or a Q that is not finite or not Hermitian).
+(bad arguments, model config or charges file), 3 divergence detected, 4
+internal numerical failure (non-finite surface data, radial factors that
+overflow at a large radius, or a Q that is not finite or not Hermitian).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _quadrature(args) -> QuadratureSpec:
 def _resolved_config(args, extra=None):
     cfg = {"version": __version__}
     for key in ("ntheta", "npsi", "nphi", "radii", "rtol", "kappa", "seed",
-                "n", "mode", "variant", "samples", "model"):
+                "n", "mode", "samples", "model"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     if extra:
@@ -180,13 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     pq = add("qmatrix", help="assemble Q and evaluate bounds")
     pq.add_argument("--charges", type=str, required=True,
                     help="charges JSON file produced by the charges command")
-    pq.add_argument("--variant", choices=["proof", "theorem-text"],
-                    default="proof")
 
     pb = add("bound", help="charges plus bounds in one pass")
     pb.add_argument("--model", type=str, required=True)
-    pb.add_argument("--variant", choices=["proof", "theorem-text"],
-                    default="proof")
     _add_quadrature_flags(pb)
 
     pi = add("identity", help="boundary identity check")
@@ -199,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = add("sample-psd", help="property sweep over PSD samples")
     ps.add_argument("--n", type=int, default=1000)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--variant", choices=["proof", "theorem-text"],
-                    default="proof")
 
     pd = add("decay", help="validate decay of a model")
     pd.add_argument("--model", type=str, required=True)
@@ -353,18 +347,36 @@ def _cmd_charges(args):
     return EXIT_DIVERGED if cs.any_diverged else EXIT_OK
 
 
+def _finite(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"charges file: {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _charge_set_from_report(path) -> ChargeSet:
+    """A `charges` report's charges, or a bare charges object; a field missing
+    or not of its kind (JSON true is no number) raises a ValueError naming it."""
     with open(path) as fh:
         data = json.load(fh)
-    ch = data["charges"] if "charges" in data else data
-    j = np.array([ch["j"][key] for key in ("12", "13", "14", "23", "24", "34")])
-    return ChargeSet(e0=float(ch["e0"]), c=np.asarray(ch["c"]),
-                     cp=np.asarray(ch["cp"]), j=j)
+    ch = data["charges"] if isinstance(data, dict) and "charges" in data else data
+    if not isinstance(ch, dict):
+        raise ValueError("charges file: the charges must be a JSON object")
+    for key in ("c", "cp"):
+        if not (isinstance(ch.get(key), list) and len(ch[key]) == 4):
+            raise ValueError(f"charges file: {key} must be a list of 4 numbers")
+    if not isinstance(ch.get("j"), dict):
+        raise ValueError("charges file: j must be a JSON object keyed 12 ... 34")
+    c, cp = (np.array([_finite(x, f"{key}[{i}]") for i, x in enumerate(ch[key])])
+             for key in ("c", "cp"))
+    j = np.array([_finite(ch["j"].get(key), f"j[{key}]")
+                  for key in ("12", "13", "14", "23", "24", "34")])
+    return ChargeSet(e0=_finite(ch.get("e0"), "e0"), c=c, cp=cp, j=j)
 
 
-def _qreport(cs: ChargeSet, variant: str) -> dict:
+def _qreport(cs: ChargeSet) -> dict:
     rigid = rigidity_check(cs)
-    bounds = theorem_bounds(cs, variant)
+    bounds = theorem_bounds(cs)
     return {
         "q": [[[float(z.real), float(z.imag)] for z in row] for row in rigid.q],
         "eigenvalues": [float(v) for v in rigid.psd.eigenvalues],
@@ -377,8 +389,7 @@ def _qreport(cs: ChargeSet, variant: str) -> dict:
 
 
 def _cmd_qmatrix(args):
-    cs = _charge_set_from_report(args.charges)
-    rep = _qreport(cs, args.variant)
+    rep = _qreport(_charge_set_from_report(args.charges))
     _say(args, f"PSD: {rep['psd']} (min eigenvalue {rep['min_eigenvalue']:.3e})")
     b = rep["bounds"]
     _say(args, "bounds:", " ".join(f"B{i}={b[f'b{i}']:.6e}" for i in range(1, 6)))
@@ -400,7 +411,7 @@ def _cmd_bound(args):
         _say(args, "verdict: diverged")
         _emit(rep, args)
         return EXIT_DIVERGED
-    rep.update(_qreport(cs, args.variant))
+    rep.update(_qreport(cs))
     b = rep["bounds"]
     _say(args, "bounds:", " ".join(f"B{i}={b[f'b{i}']:.6e}" for i in range(1, 6)))
     _say(args, "verdict: " + ("pass" if rep["verdict"] else "FAIL"))
@@ -439,14 +450,12 @@ def _cmd_sample_psd(args):
     sample = sample_momenta(args.seed, args.n)
     e0, c, cp, j, _ = sample
     # The bounds reuse the momentum-only terms the sampler computed.
-    b = theorem_bounds(ChargeSet(e0=e0, c=c, cp=cp, j=j), args.variant,
-                       terms=sample.terms)
+    b = theorem_bounds(ChargeSet(e0=e0, c=c, cp=cp, j=j), terms=sample.terms)
     worst = float(b.margin.min())
     failures = int(np.count_nonzero(~b.satisfied))
     min_clamped = float(np.min(sample.terms.d.a_total - 2 * math.sqrt(2) * b.w))
     passed = failures == 0
-    _say(args, f"{args.n - failures}/{args.n} bound checks pass "
-               f"(variant {args.variant})")
+    _say(args, f"{args.n - failures}/{args.n} bound checks pass")
     _say(args, f"worst margin: {worst:.3e}")
     _say(args, f"empirical min of A - 2 sqrt(2) W: {min_clamped:.6e}")
     report = {

@@ -11,7 +11,7 @@ by a safeguarded Newton iteration; numpy and the standard library are the
 only dependencies.
 
 The scalar functions of kappa r that the surface integrals read are
-evaluated once per (radii, kappa) and cached (_radial_table).
+evaluated once per (function, radii, kappa) and cached (_radial_table).
 """
 
 from __future__ import annotations
@@ -123,31 +123,29 @@ _RADIAL_FUNCTIONS = {
 }
 
 
-@functools.lru_cache(maxsize=8)
-def _radial_table(radii: tuple, kappa: float) -> dict:
-    """Every function of _RADIAL_FUNCTIONS at every radius of `radii`:
-    name -> (read-only values of shape (len(radii),), the first radius at
-    which the function overflows a float, or None).
+@functools.lru_cache(maxsize=8 * len(_RADIAL_FUNCTIONS))
+def _radial_table(name: str, radii: tuple, kappa: float):
+    """The function `name` of _RADIAL_FUNCTIONS at every radius of `radii`:
+    (read-only values of shape (len(radii),), the first radius at which the
+    function overflows a float, or None).
 
     Each value is computed by the math module, one radius at a time: numpy's
     vectorised cosh, sinh and exp may round differently in the last bit, and
     a value at one radius should not depend on the batch it came in.
     """
-    table = {}
-    for name, fn in _RADIAL_FUNCTIONS.items():
-        values, overflow = [], None
-        for r in radii:
-            try:
-                value = fn(kappa * r, kappa)
-            except (OverflowError, ZeroDivisionError):  # coth and 1/f at 0
-                value = math.inf
-            if math.isinf(value) and overflow is None:
-                overflow = r
-            values.append(value)
-        values = np.array(values)
-        values.setflags(write=False)
-        table[name] = (values, overflow)
-    return table
+    fn = _RADIAL_FUNCTIONS[name]
+    values, overflow = [], None
+    for r in radii:
+        try:
+            value = fn(kappa * r, kappa)
+        except (OverflowError, ZeroDivisionError):  # coth and 1/f at 0
+            value = math.inf
+        if math.isinf(value) and overflow is None:
+            overflow = r
+        values.append(value)
+    values = np.array(values)
+    values.setflags(write=False)
+    return values, overflow
 
 
 def _radial_values(name: str, r, k: ModelConstants, what: str) -> np.ndarray:
@@ -163,7 +161,7 @@ def _radial_values(name: str, r, k: ModelConstants, what: str) -> np.ndarray:
     radii = tuple(r.ravel().tolist())
     if any(x <= 0 for x in radii):
         raise DegenerateCoordinateError(f"{what}: the frame needs r > 0")
-    values, overflow = _radial_table(radii, k.kappa)[name]
+    values, overflow = _radial_table(name, radii, k.kappa)
     if overflow is not None:
         raise NumericalError(f"{what} overflow at r = {overflow:g}")
     return values.reshape(r.shape)

@@ -114,12 +114,16 @@ _LEADING_BLOCKS = np.array([[[max(i, j) < k for j in range(4)] for i in range(4)
                             for k in range(1, 5)])
 
 
-def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
+PSD_REL_TOL = 1e-10
+BOUNDS_TOL = 1e-9
+
+
+def psd_check(qmat: np.ndarray) -> PsdReport:
     """Eigenvalue PSD test cross-checked against leading principal minors.
 
     qmat has shape B+(4,4).  Tolerances are relative to the largest |eigenvalue|
-    s of each matrix: an eigenvalue may reach -rel_tol s and the k x k minor
-    -rel_tol s^k, so Q = 0 is PSD and a tiny Q is judged on its own scale.
+    s of each matrix: an eigenvalue may reach -PSD_REL_TOL s and the k x k minor
+    -PSD_REL_TOL s^k, so Q = 0 is PSD and a tiny Q is judged on its own scale.
     """
     qmat = np.asarray(qmat, dtype=complex)
     if qmat.shape[-2:] != (4, 4):
@@ -135,8 +139,8 @@ def psd_check(qmat: np.ndarray, rel_tol: float = 1e-10) -> PsdReport:
     # columns past k replaced by the identity's: one det call for all four.
     minors = np.linalg.det(np.where(_LEADING_BLOCKS, qmat[..., None, :, :],
                                     np.eye(4))).real
-    psd_eig = eig[..., 0] >= -rel_tol * scale
-    psd_minor = np.all(minors >= -rel_tol * scale[..., None] ** np.arange(1, 5),
+    psd_eig = eig[..., 0] >= -PSD_REL_TOL * scale
+    psd_minor = np.all(minors >= -PSD_REL_TOL * scale[..., None] ** np.arange(1, 5),
                        axis=-1)
     return PsdReport(
         psd=_scalar(psd_eig & psd_minor),
@@ -206,7 +210,6 @@ class BoundsReport:
     f: float | np.ndarray
     f_plus: float | np.ndarray
     w: float | np.ndarray
-    variant: str
     e0: float | np.ndarray
     satisfied: bool | np.ndarray
     margin: float | np.ndarray
@@ -221,36 +224,29 @@ class BoundsReport:
             "f": self.f,
             "fplus": self.f_plus,
             "w": self.w,
-            "variant": self.variant,
             "e0": self.e0,
             "satisfied": self.satisfied,
             "margin": self.margin,
         }
 
 
-def theorem_bounds(cs: ChargeSet, variant: str = "proof", tol: float = 1e-9,
-                   terms: _MomentumTerms | None = None) -> BoundsReport:
-    """The five lower bounds on the energy.
+def theorem_bounds(cs: ChargeSet, terms: _MomentumTerms | None = None) -> BoundsReport:
+    """The five lower bounds on the energy, each implied by Q being PSD.
 
-    variant "proof" uses the second-minor form with |c'|^2 + |J4|^2, which
-    follows directly from positive semidefiniteness; "theorem-text" uses
-    |c|^2 + |J4|^2, a stated variant checked empirically but not implied by
-    the minors.  The bounds hold when E0 - max B >= -tol max(|E0|, max B).
-    terms are the _momentum_terms of cs, computed here if not given.
+    B2 is the second-minor form sqrt((|c'|^2 + |J4|^2)/2 + L^2/8).  The
+    bounds hold when E0 - max B >= -BOUNDS_TOL max(|E0|, max B).  terms are
+    the _momentum_terms of cs, computed here if not given.
     """
-    if variant not in ("proof", "theorem-text"):
-        raise ValueError(f"variant must be 'proof' or 'theorem-text', got {variant!r}")
     d, _, s, w2 = _momentum_terms(cs) if terms is None else terms
     w = np.sqrt(w2)
     a_tot = d.a_total
     l2 = d.l_squared
-    c, cp, j4 = (_parts(v) for v in (d.c3, d.cp3, d.j4))
+    cp, j4 = _parts(d.cp3), _parts(d.j4)
     cp3_sq = _dot(cp, cp)
     j4_sq = _dot(j4, j4)
-    b2_term = cp3_sq if variant == "proof" else _dot(c, c)
 
     b1 = np.sqrt(cs.c[..., 3][()] ** 2 + l2 / 4.0)
-    b2 = np.sqrt(0.5 * (b2_term + j4_sq) + l2 / 8.0)
+    b2 = np.sqrt(0.5 * (cp3_sq + j4_sq) + l2 / 8.0)
     b3 = np.sqrt(a_tot + cp3_sq + j4_sq) - np.sqrt(cp3_sq) - np.sqrt(j4_sq)
     b4 = np.sqrt(np.maximum(a_tot - 2 * math.sqrt(2) * w, 0.0))
     f_val = -8 * math.sqrt(2) * w * a_tot + 36 * w2 + 4 * s
@@ -261,9 +257,9 @@ def theorem_bounds(cs: ChargeSet, variant: str = "proof", tol: float = 1e-9,
     bounds = bounds.transpose(*range(1, bounds.ndim), 0)  # B+(5,)
     b_max = bounds.max(axis=-1)
     margin = cs.e0 - b_max
-    satisfied = margin >= -tol * np.maximum(np.abs(cs.e0), b_max)
+    satisfied = margin >= -BOUNDS_TOL * np.maximum(np.abs(cs.e0), b_max)
     return BoundsReport(
-        bounds=bounds, f=f_val, f_plus=f_plus, w=w, variant=variant, e0=cs.e0,
+        bounds=bounds, f=f_val, f_plus=f_plus, w=w, e0=cs.e0,
         satisfied=_scalar(satisfied), margin=margin,
     )
 
@@ -282,18 +278,18 @@ class RigidityReport:
         }
 
 
-def rigidity_check(cs: ChargeSet, rel_tol: float = 1e-10) -> RigidityReport:
+def rigidity_check(cs: ChargeSet) -> RigidityReport:
     """The rigidity hypothesis: the energy vanishes and Q is PSD.
 
-    E0 is judged against rel_tol s, with s the largest |eigenvalue| of Q as
-    in psd_check, so Q = 0 is in the domain and a tiny Q is judged on its
+    E0 is judged against PSD_REL_TOL s, with s the largest |eigenvalue| of Q
+    as in psd_check, so Q = 0 is in the domain and a tiny Q is judged on its
     own scale.  Where it holds, Q vanishes, so that is no separate verdict:
-    every eigenvalue is at least -rel_tol s and their sum, tr Q = 4 E0, at
-    most 4 rel_tol s, which leaves s = 0.
+    every eigenvalue is at least -PSD_REL_TOL s and their sum, tr Q = 4 E0, at
+    most 4 PSD_REL_TOL s, which leaves s = 0.
     """
     qmat = assemble_q(cs)
-    psd = psd_check(qmat, rel_tol)
-    cutoff = rel_tol * np.abs(psd.eigenvalues).max(axis=-1)
+    psd = psd_check(qmat)
+    cutoff = PSD_REL_TOL * np.abs(psd.eigenvalues).max(axis=-1)
     in_domain = (cs.e0 <= cutoff) & psd.psd
     return RigidityReport(
         in_domain=_scalar(in_domain),

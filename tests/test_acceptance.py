@@ -160,7 +160,7 @@ def test_criterion_7_property_suite(capsys):
     for i in range(n):
         cs = ChargeSet(e0=float(e0[i]), c=c[i], cp=cp[i], j=j[i])
         d = derived(cs)
-        rep = theorem_bounds(cs, "proof")
+        rep = theorem_bounds(cs)
         # raw second-minor inequalities
         raw1 = cs.c[3] ** 2 + 0.5 * (
             float(d.c3 @ d.c3) + float(d.jhat @ d.jhat) + cs.cp[3] ** 2

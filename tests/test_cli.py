@@ -369,7 +369,7 @@ def test_parser_reuse_matches_fresh_parser(tmp_path, capsys):
     assert main(["charges", "--model", BUMP, *SMALL, "--out", str(charges),
                  "--quiet"]) == 0
     calls = [
-        (["qmatrix", "--charges", str(charges), "--variant", "theorem-text"], 0),
+        (["qmatrix", "--charges", str(charges), "--variant", "theorem-text"], 2),
         (["sample-psd", "--n", "50", "--seed", "3"], 0),
         (["bound", "--model", OFFDIAG, "--rtol", "1e-9", *SMALL], 1),
         (["bound", "--ntheta", "8"], 2),
@@ -427,14 +427,65 @@ def test_bound_on_diverging_data_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_qmatrix_on_a_nan_charge_is_a_numerical_failure(tmp_path, capsys):
+J_KEYS = ("12", "13", "14", "23", "24", "34")
+
+
+def _charges(e0=0.0, c=(0.0,) * 4, cp=(0.0,) * 4, j=None):
+    return {"e0": e0, "c": list(c), "cp": list(cp),
+            "j": dict.fromkeys(J_KEYS, 0.0) if j is None else j}
+
+
+def test_qmatrix_at_the_b2_counterexample(tmp_path, capsys):
+    # c_3 = 1, c'_4 = 1, J_34 = 1 at E0 = 1.1: Q is positive definite and
+    # every bound holds.  --variant, whose theorem-text B2 failed here, is
+    # gone from every command.
+    path = tmp_path / "cex.json"
+    path.write_text(json.dumps({"charges": _charges(
+        1.1, c=(0, 0, 1.0, 0), cp=(0, 0, 0, 1.0),
+        j={**dict.fromkeys(J_KEYS, 0.0), "34": 1.0})}))
+    out = tmp_path / "q.json"
+    assert main(["qmatrix", "--charges", str(path), "--out", str(out),
+                 "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert data["psd"] is True and data["verdict"] is True
+    assert data["min_eigenvalue"] == pytest.approx(0.1, abs=1e-12)
+    assert "variant" not in data["bounds"] and "variant" not in data["config"]
+    assert main(["qmatrix", "--charges", str(path), "--variant",
+                 "theorem-text", "--quiet"]) == 2
+    assert main(["bound", "--model", BUMP, *SMALL, "--variant", "proof",
+                 "--quiet"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"charges": _charges(math.nan)}, "e0 must be a finite number, got nan"),
+    (_charges(math.inf), "e0 must be a finite number, got inf"),
+    ({"charges": _charges(j={**dict.fromkeys(J_KEYS, 0.0), "24": math.nan})},
+     "j[24] must be a finite number, got nan"),
+    ([_charges()], "the charges must be a JSON object"),
+    ({"charges": [0.0] * 15}, "the charges must be a JSON object"),
+    ({"charges": _charges(j=[0.0] * 6)}, "j must be a JSON object"),
+    ({"charges": _charges(c=(0.0, 0.0, "1", 0.0))},
+     "c[2] must be a finite number, got '1'"),
+    ({"charges": _charges(cp=(0.0, True, 0.0, 0.0))},
+     "cp[1] must be a finite number, got True"),
+    ({"charges": _charges(c=(0.0,) * 5)}, "c must be a list of 4 numbers"),
+    ({"charges": {k: v for k, v in _charges().items() if k != "e0"}},
+     "e0 must be a finite number, got None"),
+    ({"charges": {k: v for k, v in _charges().items() if k != "cp"}},
+     "cp must be a list of 4 numbers"),
+    ({"charges": _charges(j={k: 0.0 for k in J_KEYS if k != "13"})},
+     "j[13] must be a finite number, got None"),
+], ids=["nan_e0", "inf_e0", "nan_j", "list", "list_charges", "list_j",
+        "string_c", "bool_cp", "long_c", "no_e0", "no_cp", "no_j13"])
+def test_qmatrix_rejects_a_bad_charges_file(tmp_path, capsys, data, message):
+    # A charges file is user input: a field that is missing, of the wrong
+    # kind, not a number or not finite is a usage error naming it, not a
+    # numerical failure (exit 4), a failed verification or a traceback.
     path = tmp_path / "charges.json"
-    path.write_text(json.dumps({"charges": {
-        "e0": math.nan, "c": [0.0] * 4, "cp": [0.0] * 4,
-        "j": {key: 0.0 for key in ("12", "13", "14", "23", "24", "34")}}}))
-    assert main(["qmatrix", "--charges", str(path), "--quiet"]) == 4
-    assert "numerical failure: psd_check requires a finite matrix" in (
-        capsys.readouterr().err)
+    path.write_text(json.dumps(data))
+    assert main(["qmatrix", "--charges", str(path), "--quiet"]) == 2
+    assert f"error: charges file: {message}" in capsys.readouterr().err
 
 
 # offdiag_momentum with profile cos_psi: every charge vanishes analytically

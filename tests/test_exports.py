@@ -1,13 +1,17 @@
 """Every exported name resolves, and every name a submodule exports is used
 somewhere in the library."""
 
+import argparse
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
 import adspet
+from adspet.cli import build_parser
+from adspet.qmatrix import psd_check, rigidity_check, theorem_bounds
 
 MODULES = ("adspet", "adspet.charges", "adspet.clifford", "adspet.geometry",
            "adspet.initial_data", "adspet.killing", "adspet.qmatrix",
@@ -101,3 +105,18 @@ def test_traced_layers_resolve():
     missing = [f"{module}.{attr}" for module, attr in tables.values()
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_the_bounds_have_one_formula_and_fixed_tolerances():
+    # The proof's bounds are the only ones, judged at fixed tolerances: no
+    # command takes --variant, and no bounds-layer call takes a variant or a
+    # tolerance.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_variant = [name for name, parser in sub.choices.items()
+                    if "--variant" in parser._option_string_actions]
+    assert with_variant == []
+    knobs = {"variant", "tol", "rel_tol"}
+    assert {fn.__name__: sorted(knobs & set(inspect.signature(fn).parameters))
+            for fn in (theorem_bounds, psd_check, rigidity_check)} == {
+        "theorem_bounds": [], "psd_check": [], "rigidity_check": []}

@@ -92,6 +92,18 @@ def test_spin_connection_values():
     assert om[0, 1, 0] == 0.0
 
 
+def test_a_radial_lookup_computes_only_the_function_asked_for(monkeypatch):
+    # The radial table is cached per function: the spin connection at a
+    # spinor sample's radius fills coth and 1/f, not all seven functions.
+    computed = []
+    for name, fn in geometry._RADIAL_FUNCTIONS.items():
+        monkeypatch.setitem(geometry._RADIAL_FUNCTIONS, name,
+                            lambda x, kappa, name=name, fn=fn:
+                            computed.append(name) or fn(x, kappa))
+    spin_connection_grid(1.2345678901, 1.0, 1.2, K1)
+    assert computed == ["coth", "inv_f"]
+
+
 def test_spin_connection_antisymmetry():
     grid = spin_connection_grid(2.0, np.linspace(0.4, 2.7, 5)[:, None],
                                 np.linspace(0.4, 2.7, 4)[None, :], K1)

@@ -166,14 +166,20 @@ def test_bound_b3_value():
     assert rep.bounds[2] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
 
-def test_bounds_variant_flag():
-    cs = charge_set(e0=2.0, c1=1.0)
-    proof = theorem_bounds(cs, "proof")
-    text = theorem_bounds(cs, "theorem-text")
-    # proof-variant B2 has |c'| where the text shows |c|
-    assert text.bounds[1] > proof.bounds[1]
-    with pytest.raises(ValueError):
-        theorem_bounds(cs, "other")
+@pytest.mark.parametrize("e0, eigenvalues", [(1.0, [0.0, 0.0, 0.0, 4.0]),
+                                               (1.1, [0.1, 0.1, 0.1, 4.1])])
+def test_bounds_at_the_b2_counterexample(e0, eigenvalues):
+    # c_3 = 1, c'_4 = 1, J_34 = 1: a B2 with |c|^2 in place of |c'|^2 reads
+    # sqrt(3/2) here, above E0 even at E0 = 1.1, where Q is positive
+    # definite.  The second-minor B2 holds, and at the PSD boundary E0 = 1
+    # it is one of three bounds that reach E0.
+    cs = charge_set(e0=e0, c3=1.0, cp4=1.0, j34=1.0)
+    psd = psd_check(assemble_q(cs))
+    assert psd.eigenvalues == pytest.approx(eigenvalues, abs=1e-12)
+    assert psd.psd and (psd.min_eigenvalue > 0) == (e0 > 1)
+    rep = theorem_bounds(cs)
+    assert rep.bounds[:3] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+    assert rep.satisfied and rep.margin == pytest.approx(e0 - 1.0, abs=1e-12)
 
 
 def test_second_minor_inequalities_raw_forms():
@@ -220,9 +226,8 @@ def test_det_closed_form_matches_eigensolver():
 
 def test_bounds_hold_on_psd_samples():
     cs = psd_samples(0, 400)
-    for variant in ("proof", "theorem-text"):
-        rep = theorem_bounds(cs, variant)
-        assert np.all(rep.satisfied), (variant, rep.margin.min())
+    rep = theorem_bounds(cs)
+    assert np.all(rep.satisfied), rep.margin.min()
 
 
 def test_third_minor_nonnegative_on_psd_samples():
@@ -463,7 +468,7 @@ def test_batched_arithmetic_matches_each_set_alone():
     d = derived(cs)
     q = assemble_q(cs)
     psd = psd_check(q)
-    bounds = {v: theorem_bounds(cs, v) for v in ("proof", "theorem-text")}
+    bounds = theorem_bounds(cs)
     third = third_minor_sum(cs)
     det = det_closed_form(cs)
     rigid = rigidity_check(cs)
@@ -481,13 +486,10 @@ def test_batched_arithmetic_matches_each_set_alone():
         assert isinstance(p1.psd, bool)
         for name in ("psd", "min_eigenvalue", "eigenvalues", "leading_minors"):
             _assert_same(getattr(psd, name)[i], getattr(p1, name), (i, name))
-        for variant, rep in bounds.items():
-            b1 = theorem_bounds(one, variant)
-            assert isinstance(b1.satisfied, bool) and b1.variant == variant
-            for name in ("bounds", "f", "f_plus", "w", "e0", "satisfied",
-                         "margin"):
-                _assert_same(getattr(rep, name)[i], getattr(b1, name),
-                             (i, variant, name))
+        b1 = theorem_bounds(one)
+        assert isinstance(b1.satisfied, bool)
+        for name in ("bounds", "f", "f_plus", "w", "e0", "satisfied", "margin"):
+            _assert_same(getattr(bounds, name)[i], getattr(b1, name), (i, name))
         # At a PSD-boundary sample det Q vanishes, and the third-minor sum
         # can be small: each is then roundoff on terms of size
         # |E0| (E0^2 + A) and (E0^2 + A)^2, and judged on that size.
