@@ -13,9 +13,11 @@ e_1 comes from initial_data.mass_aspect_grid, the library's one mass-aspect
 function.  Its angular factors are built once per grid.  Data that keep
 their own angular shape S are contracted at S, against the Killing tables
 summed over every angle along which S has length 1, so no field is spread
-to the full grid; all radii go through one np.vecdot per table.  Only the
-summed tables are kept, once per (grid, table, S): a table is built one
-Killing field at a time, and no full-grid table outlives its sum.  r
+to the full grid; all radii go through one np.vecdot per table.  Each
+Killing frame component and the node weights are products of one factor
+per angle, so a summed table is an outer product of per-angle sums, built
+once per (grid, table, S), and no table of the grid's shape is formed for
+data of a smaller shape.  r
 enters only through scalars, evaluated once per (radii, kappa): the radial
 factors of each charge, and coth and 1/f in the mass aspect.
 The same reduction of |table| gives each charge's absolute integral, the
@@ -46,7 +48,7 @@ from .initial_data import (
     mass_aspect_grid,
     momentum_aspect_grid,
 )
-from .killing import killing_frame_table, killing_radial_scale
+from .killing import killing_frame_factors, killing_radial_scale
 
 __all__ = [
     "J_ORDER",
@@ -237,19 +239,25 @@ def _reduced_table(ntheta: int, npsi: int, nphi: int, k: ModelConstants,
 
     Contracting data of that shape against the first gives the charge
     integrals, and |data| against the second their absolute integrals.
-    The table is built one Killing field at a time, and each field's rows
-    are dropped once summed, so the full table is never held.
+    A frame component is c T_theta T_psi T_phi (killing_frame_factors) and
+    the node weight w_theta w_psi w_phi, so each row is the outer product of
+    three weighted factors, each summed over its own axis where the data
+    are constant along it: no table larger than the data is formed.
     """
     grid = _grid_and_factors(ntheta, npsi, nphi)[0]
-    labels, rows = (_E_LABELS, 0) if part == "e" else (_P_LABELS, slice(1, None))
-    axes = tuple(i - 3 for i, n in enumerate(shape) if n == 1)
-    sums, abs_sums = [], []
+    labels, rows = (_E_LABELS, slice(1)) if part == "e" else (_P_LABELS, slice(1, None))
+    summed = [n == 1 for n in shape]
+    signed, absolute = [], []
     for label in labels:
-        row = (killing_frame_table(label, grid.theta, grid.psi, grid.phi, k)[rows]
-               * grid.weights)
-        sums.append(np.sum(row, axis=axes, keepdims=True))
-        abs_sums.append(np.sum(np.abs(row), axis=axes, keepdims=True))
-    out = tuple(np.stack(t).reshape(len(labels), -1) for t in (sums, abs_sums))
+        for coef, factors in killing_frame_factors(label, grid.theta, grid.psi,
+                                                   grid.phi, k)[rows]:
+            weighted = [f * w for f, w in zip(factors, grid.axis_weights)]
+            for out, row, fs in ((signed, coef, weighted),
+                                 (absolute, abs(coef), map(np.abs, weighted))):
+                for f, axis_summed in zip(fs, summed):
+                    row = row * (np.sum(f, keepdims=True) if axis_summed else f)
+                out.append(row)
+    out = tuple(np.stack(t).reshape(len(labels), -1) for t in (signed, absolute))
     for t in out:
         t.setflags(write=False)
     return out
@@ -309,11 +317,6 @@ class SurfaceData:
     p1: np.ndarray       # P_{k1} for k = 1..4, shape (4,) + S
     values: np.ndarray   # the fifteen pre-limit surface integrals, B + (15,)
     scales: np.ndarray   # their absolute integrals, of |Killing field x data|
-
-    def integrate(self, values):
-        """Integral over each S_r of a field given at the grid nodes, shape
-        B + grid shape or one that broadcasts to it; the result has shape B."""
-        return self.grid.integrate(values, self.r, self.constants)
 
 
 def _radial_factors(r, k: ModelConstants) -> np.ndarray:

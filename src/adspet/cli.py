@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .charges import CHARGE_NAMES, ChargeSet, compute_charges
+from .charges import CHARGE_NAMES, ChargeDiagnostics, ChargeSet, compute_charges
 from .clifford import ETA, gamma
 from .geometry import ModelConstants, NumericalError, QuadratureSpec
 from .initial_data import decay_validate, model_from_config
@@ -356,7 +356,11 @@ def _finite(value, name: str) -> float:
 
 def _charge_set_from_report(path) -> ChargeSet:
     """A `charges` report's charges, or a bare charges object; a field missing
-    or not of its kind (JSON true is no number) raises a ValueError naming it."""
+    or not of its kind (JSON true is no number) raises a ValueError naming it.
+
+    A charge that the report's diagnostics mark diverged may be NaN, as
+    `charges` writes it, and the set carries that mark; any other NaN is an
+    error."""
     with open(path) as fh:
         data = json.load(fh)
     ch = data["charges"] if isinstance(data, dict) and "charges" in data else data
@@ -367,11 +371,26 @@ def _charge_set_from_report(path) -> ChargeSet:
             raise ValueError(f"charges file: {key} must be a list of 4 numbers")
     if not isinstance(ch.get("j"), dict):
         raise ValueError("charges file: j must be a JSON object keyed 12 ... 34")
-    c, cp = (np.array([_finite(x, f"{key}[{i}]") for i, x in enumerate(ch[key])])
-             for key in ("c", "cp"))
-    j = np.array([_finite(ch["j"].get(key), f"j[{key}]")
+    reported = ch.get("diagnostics")
+    reported = reported if isinstance(reported, dict) else {}
+    diverged = {name: d for name, d in reported.items() if name in CHARGE_NAMES
+                and isinstance(d, dict) and d.get("diverged") is True}
+
+    def charge(value, name, field):
+        if name in diverged and isinstance(value, float) and math.isnan(value):
+            return value
+        return _finite(value, field)
+
+    c, cp = (np.array([charge(x, f"{key}{i + 1}", f"{key}[{i}]")
+                       for i, x in enumerate(ch[key])]) for key in ("c", "cp"))
+    j = np.array([charge(ch["j"].get(key), f"j{key}", f"j[{key}]")
                   for key in ("12", "13", "14", "23", "24", "34")])
-    return ChargeSet(e0=_finite(ch.get("e0"), "e0"), c=c, cp=cp, j=j)
+    diagnostics = {name: ChargeDiagnostics(
+        residual=math.inf, diverged=True,
+        quadrature_converged=d.get("quadrature_converged") is True)
+        for name, d in diverged.items()}
+    return ChargeSet(e0=charge(ch.get("e0"), "e0", "e0"), c=c, cp=cp, j=j,
+                     diagnostics=diagnostics)
 
 
 def _qreport(cs: ChargeSet) -> dict:
@@ -389,7 +408,13 @@ def _qreport(cs: ChargeSet) -> dict:
 
 
 def _cmd_qmatrix(args):
-    rep = _qreport(_charge_set_from_report(args.charges))
+    cs = _charge_set_from_report(args.charges)
+    if cs.any_diverged:
+        # A diverged charge is NaN, so Q and the bounds are undefined.
+        _say(args, "verdict: diverged")
+        _emit({"config": _resolved_config(args), "charges": cs.as_dict()}, args)
+        return EXIT_DIVERGED
+    rep = _qreport(cs)
     _say(args, f"PSD: {rep['psd']} (min eigenvalue {rep['min_eigenvalue']:.3e})")
     b = rep["bounds"]
     _say(args, "bounds:", " ".join(f"B{i}={b[f'b{i}']:.6e}" for i in range(1, 6)))

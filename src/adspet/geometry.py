@@ -198,16 +198,26 @@ def spin_connection_grid(r, theta, psi, k: ModelConstants) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Product quadrature grid on S_r: GL(theta) x GL(psi) x uniform(phi)."""
+    """Product quadrature grid on S_r: GL(theta) x GL(psi) x uniform(phi).
+
+    The weight of a node is the product of one weight per angle, each with
+    its part of the angular measure sin^2 theta sin psi.
+    """
 
     theta: np.ndarray  # shape (ntheta, 1, 1)
     psi: np.ndarray    # shape (1, npsi, 1)
     phi: np.ndarray    # shape (1, 1, nphi)
-    weights: np.ndarray  # shape (ntheta, npsi, nphi), includes angular measure
+    axis_weights: tuple  # the weights of theta, psi and phi, in their shapes
 
     @property
     def shape(self):
-        return self.weights.shape
+        return (self.theta.size, self.psi.size, self.phi.size)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The node weights, shape (ntheta, npsi, nphi)."""
+        w_theta, w_psi, w_phi = self.axis_weights
+        return w_theta * w_psi * w_phi
 
     def require_finite(self, values):
         """Raise NumericalError naming the first node where values is not
@@ -249,16 +259,13 @@ def sphere_grid(ntheta: int, npsi: int, nphi: int) -> SphereGrid:
     phi = 2 * math.pi * np.arange(nphi) / nphi
     wphi = np.full(nphi, 2 * math.pi / nphi)
     # The angular part of the measure density, sin^2 theta * sin psi.
-    weights = (
-        (wt * np.sin(theta) ** 2)[:, None, None]
-        * (wp * np.sin(psi))[None, :, None]
-        * wphi[None, None, :]
-    )
     return SphereGrid(
         theta=theta[:, None, None],
         psi=psi[None, :, None],
         phi=phi[None, None, :],
-        weights=weights,
+        axis_weights=((wt * np.sin(theta) ** 2)[:, None, None],
+                      (wp * np.sin(psi))[None, :, None],
+                      wphi[None, None, :]),
     )
 
 

@@ -338,6 +338,8 @@ def model_registry(name: str, params: dict | None = None,
         raise ValueError(f"model params must be an object, got {params!r}")
     params = dict(params or {})
     if name == "grid":
+        if "file" not in params:
+            raise ValueError("model 'grid' needs the param 'file'")
         return read_grid_file(params["file"])
     classes = {cls.name: cls for cls in (AdsExactModel, RadialBumpModel,
                                          OffdiagMomentumModel)}
@@ -355,6 +357,8 @@ def model_from_config(config, constants: ModelConstants = ModelConstants()):
         config = json.loads(config)
     if not isinstance(config, dict):
         raise ValueError(f"a model config must be a JSON object, got {config!r}")
+    if "name" not in config:
+        raise ValueError(f"model config {config!r} has no 'name'")
     return model_registry(config["name"], config.get("params"), constants)
 
 

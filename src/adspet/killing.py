@@ -26,7 +26,7 @@ __all__ = [
     "normalize_label",
     "killing_vector_frame",
     "killing_radial_scale",
-    "killing_frame_table",
+    "killing_frame_factors",
     "spacetime_killing_vector",
     "killing_residual",
     "ads_metric_diag",
@@ -66,6 +66,8 @@ def normalize_label(label):
 
 # Signature of the embedding space R^{4,2}, indices 0..5 with 0 and 5 timelike.
 _ETA6 = (-1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
+# The (theta, psi, phi) factors of a vanishing and of a constant component.
+_ZERO, _ONE = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
 
 
 def _ambient_components(i, theta, psi, phi):
@@ -80,7 +82,7 @@ def _ambient_components(i, theta, psi, phi):
     a vector agree across the components 1..3 (theta) and 1..2 (psi), so the
     products that cancel in a frame component cancel exactly.
     """
-    zero, one = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
+    zero, one = _ZERO, _ONE
     if i in (0, 5):
         return tuple(one if v == i else zero for v in range(6))
     sth, cth = np.sin(theta), np.cos(theta)
@@ -142,16 +144,44 @@ def killing_radial_scale(label, r: float, k: ModelConstants) -> float:
     return math.cosh(k.kappa * r) if b == 0 else math.sinh(k.kappa * r)
 
 
-def killing_frame_table(label, theta, psi, phi, k: ModelConstants) -> np.ndarray:
-    """Angular factors T with U^(m) = R(r) T^(m), for m = 0, 2, 3, 4.
+def _omega_factors(va, vb, v, w, coef):
+    """coef (va_v vb_w - vb_v va_w), the omega(v, w) / eta of two ambient
+    vectors' components, as (coefficient, (theta, psi, phi) factors).
 
-    Returns shape (4,) + broadcast angle shape.  The factorization holds at
-    every radius, so T is read off the frame components at kappa r = 1.
+    Each of the two products is one product of per-angle factors.  Where
+    both are live they share the factors of two angles exactly, so their
+    difference is those two times the difference of the third.
     """
-    r_ref = 1.0 / k.kappa
-    u = killing_vector_frame(label, (r_ref, theta, psi, phi), k)
-    scale = killing_radial_scale(label, r_ref, k)
-    return np.stack(np.broadcast_arrays(*(u[m] / scale for m in (0, 2, 3, 4))))
+    terms = [(c, tuple(f * g for f, g in zip(p, q)))
+             for c, p, q in ((coef, va[v], vb[w]), (-coef, vb[v], va[w]))
+             if p is not _ZERO and q is not _ZERO]
+    if len(terms) < 2:
+        return terms[0] if terms else (0.0, _ZERO)
+    (_, x), (_, y) = terms
+    differ = [i for i in range(3) if not np.array_equal(x[i], y[i])]
+    if not differ:
+        return 0.0, _ZERO
+    (d,) = differ  # one angle, for every label and component
+    return coef, tuple(x[i] - y[i] if i == d else x[i] for i in range(3))
+
+
+def killing_frame_factors(label, theta, psi, phi, k: ModelConstants):
+    """The frame components U^(m), m = 0, 2, 3, 4, of a Killing field on the
+    t = 0 slice, each as a coefficient c and one factor per angle:
+    U^(m) = R(r) c T_theta(theta) T_psi(psi) T_phi(phi), with R the
+    killing_radial_scale of the label, at every radius.
+
+    Returns four pairs (c, (T_theta, T_psi, T_phi)); a factor is a float or
+    an array of its angle's shape.  Of the two terms of each component in
+    killing_vector_frame, omega(0, .) and omega(1, .), only the one whose
+    radial factor is R is nonzero on the slice.
+    """
+    (a, b), sign = normalize_label(label)
+    va, vb = (_ambient_components(i, theta, psi, phi) for i in (a, b))
+    coef = sign * _ETA6[a] * _ETA6[b] / k.kappa
+    x = 0 if b == 0 else 1
+    return tuple(_omega_factors(va, vb, x, m, -coef if m == 5 else coef)
+                 for m in (5, 2, 3, 4))
 
 
 def ads_metric_diag(x, k: ModelConstants) -> np.ndarray:

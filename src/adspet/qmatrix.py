@@ -24,6 +24,7 @@ e^{+-kappa r}; the leading mode is the e^{kappa r} part of that sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -434,7 +435,8 @@ _FORM_MATS = np.array([0.25 * np.eye(4)] + [0.25j * gamma(k) for k in range(1, 5
 #                    + 2 Re <U, M V>,
 # a real combination of sixteen angular tables of the profiles: |x0|^2,
 # |x1|^2, Re and Im conj(x0) x1 for x = (u+, v+) and for (u-, v-), then Re
-# and Im of conj(x_i) y_j for x = (u+, v+), y = (u-, v-), ij = 00, 01, 10, 11.
+# and Im of conj(x_i) y_j for x = (u+, v+), y = (u-, v-), for ij = 00, 01,
+# 10, 11 in turn.
 _SPIN = {s: np.array([[1, 0], [0, 1], [1j * s, 0], [0, 1j * s]]) for s in (1, -1)}
 
 
@@ -445,7 +447,7 @@ def _table_coeffs(m):
     pm = 2 * (_SPIN[1].conj().T @ m @ _SPIN[-1]).ravel()
     own = [[x[0, 0].real, x[1, 1].real, 2 * x[0, 1].real, -2 * x[0, 1].imag]
            for x in (pp, mm)]
-    return np.concatenate(own + [pm.real, -pm.imag])
+    return np.concatenate(own + [np.stack([pm.real, -pm.imag], axis=-1).ravel()])
 
 
 # The nine fields of the surface data are e_1, the four a-terms
@@ -467,14 +469,25 @@ _IDENTITY_TERMS = tuple(
 
 def _identity_tables(prof):
     """The sixteen real angular tables of the profiles (u+, u-, v+, v-), in
-    order, each built when it is asked for."""
+    order, each built when it is asked for, so one product conj(x_i) y_j is
+    held at a time."""
     up, um, vp, vm = prof
     for x0, x1 in ((up, vp), (um, vm)):
         x01 = np.conj(x0) * x1
         yield from (np.abs(x0) ** 2, np.abs(x1) ** 2, x01.real, x01.imag)
-    cross = [np.conj(x) * y for x in (up, vp) for y in (um, vm)]
-    yield from (c.real for c in cross)
-    yield from (c.imag for c in cross)
+    for x in (up, vp):
+        for y in (um, vm):
+            xy = np.conj(x) * y
+            yield from (xy.real, xy.imag)
+
+
+@functools.lru_cache(maxsize=4)
+def _identity_workspace(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Two float arrays of the given shape, for the identity integrand and
+    one of its terms, kept from call to call.  At 16^3 nodes and four radii
+    each is 128 KiB, the size from which the C allocator maps and unmaps an
+    array on every call, with a page fault per page touched."""
+    return np.empty(shape), np.empty(shape)
 
 
 def _identity_surface_value(s: SurfaceData, prof, mode):
@@ -483,9 +496,10 @@ def _identity_surface_value(s: SurfaceData, prof, mode):
     prof holds the Killing-spinor angular profiles (u+, u-, v+, v-) on the
     grid of s; r enters only through the weights e^{+-kappa r}.  The
     integrand sum_t G_t T_t pairs each angular table T_t with a coefficient
-    G_t formed at the data's shape, and is summed at the nodes of every
-    radius at once.  Returns the integrals and the integrals of the
-    integrand's absolute value, each of the shape of s.r.
+    G_t formed at the data's shape; it is formed, weighted and summed at the
+    nodes of every radius at once in a workspace kept per shape.  Returns
+    the integrals and the integrals of the integrand's absolute value, each
+    of the shape of s.r.
     """
     k = s.constants
     a = s.a
@@ -498,18 +512,26 @@ def _identity_surface_value(s: SurfaceData, prof, mode):
     fields = (s.e1, *coeff_a, *s.p1)
     what = "the Killing spinor weights exp(+-kappa r)"
     r = np.asarray(s.r, dtype=float)
-    weights = {power: _radial_values(name, r, k, what).reshape(r.shape + (1, 1, 1))
-               for power, name in ((1, "exp"), (-1, "exp_neg"))}
-    integrand = np.zeros(r.shape + s.grid.shape)
+    radial = {power: _radial_values(name, r, k, what).reshape(r.shape + (1, 1, 1))
+              for power, name in ((1, "exp"), (-1, "exp_neg"))}
+    area = _radial_values("area", r, k, "the area factors of S_r")
+    integrand, term = _identity_workspace(r.shape + s.grid.shape)
+    integrand.fill(0.0)
     # zip stops at the mode's last table, so the leading mode builds four.
     for t, table in zip(_MODE_TABLES[mode], _identity_tables(prof)):
         if not _IDENTITY_TERMS[t]:
             continue
         g = sum(c * fields[n] for n, c in _IDENTITY_TERMS[t])
         if _TABLE_POWER[t]:
-            g = weights[_TABLE_POWER[t]] * g
-        integrand += g * table
-    return s.integrate(integrand), s.integrate(np.abs(integrand))
+            g = radial[_TABLE_POWER[t]] * g
+        integrand += np.multiply(g, table, out=term)
+    s.grid.require_finite(integrand)
+    # The weights are positive, so |weighted integrand| is the weighted
+    # |integrand|.
+    integrand *= s.grid.weights
+    values = np.sum(integrand, axis=(-3, -2, -1)) * area
+    abs_values = np.sum(np.abs(integrand, out=integrand), axis=(-3, -2, -1)) * area
+    return values, abs_values
 
 
 def boundary_identity(

@@ -42,7 +42,7 @@ from adspet.initial_data import (
     read_grid_file,
     write_grid_file,
 )
-from adspet.killing import killing_frame_table, killing_radial_scale
+from adspet.killing import killing_radial_scale, killing_vector_frame
 
 K1 = ModelConstants(1.0)
 Q_STD = QuadratureSpec(16, 16, 16, (4.0, 5.0, 6.0, 7.0))
@@ -267,13 +267,21 @@ def test_reduced_contraction_matches_the_broadcast_sum(shape):
 
     full_e = np.broadcast_to(e1, grid.shape)
     full_p = np.broadcast_to(p1, (4,) + grid.shape)[1:]
+
+    def table(field):
+        # The frame components U^(0), U^(2..4) over the full grid, without
+        # their radial factor.
+        u = killing_vector_frame(field, (1.0, *angles), K1)
+        scale = killing_radial_scale(field, 1.0, K1)
+        return np.stack(np.broadcast_arrays(*(u[m] / scale for m in (0, 2, 3, 4))))
+
     expected, expected_abs = [], []
     for field in E_FIELDS:
-        wt = grid.weights * killing_frame_table(field, *angles, K1)[0]
+        wt = grid.weights * table(field)[0]
         expected.append(np.sum(wt * full_e))
         expected_abs.append(np.sum(np.abs(wt) * np.abs(full_e)))
     for field in P_FIELDS:
-        wt = grid.weights * killing_frame_table(field, *angles, K1)[1:]
+        wt = grid.weights * table(field)[1:]
         expected.append(np.sum(wt * full_p))
         expected_abs.append(np.sum(np.abs(wt) * np.abs(full_p)))
     expected, expected_abs = np.array(expected), np.array(expected_abs)
@@ -300,24 +308,27 @@ def test_reduction_cache_stays_bounded():
 
 
 def test_a_surface_pass_keeps_no_full_killing_table():
-    # The caches keep the reduced tables only: after one pass at 32^3 from
-    # empty caches, less memory stays allocated than one full (10, 3) + grid
-    # table of P-side Killing rows would take.
+    # The tables are outer products of per-angle sums: a pass at 32^3 from
+    # empty caches allocates at no time as much as one (4,) + grid table of
+    # Killing frame components (1 MiB; building the tables field by field
+    # over the full grid peaked at 4.4 MiB), and afterwards less memory stays
+    # allocated than one full (10, 3) + grid table of P-side rows would take.
+    model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_phi", constants=K1)
+    radii = np.array([4.0, 5.0, 6.0, 7.0])
+    charge_surface_values(model, radii, 8, 8, 8)  # imports done once
     for cached in vars(charges).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
-    model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_phi", constants=K1)
-    full_table = 10 * 3 * 32 ** 3 * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        surface = charge_surface_values(model, np.array([4.0, 5.0, 6.0, 7.0]),
-                                        32, 32, 32)
+        surface = charge_surface_values(model, radii, 32, 32, 32)
         del surface
-        kept = tracemalloc.get_traced_memory()[0] - before
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept < full_table
+    assert peak - before < 4 * 32 ** 3 * 8
+    assert kept - before < 10 * 3 * 32 ** 3 * 8
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.7])

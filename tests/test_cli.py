@@ -427,6 +427,34 @@ def test_bound_on_diverging_data_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_qmatrix_on_a_diverged_report_exits_3(tmp_path, capsys):
+    # The report of a diverged `charges` run holds e0 = NaN, marked diverged
+    # in its diagnostics: qmatrix gives the verdict bound gives on the same
+    # data, not a usage error.
+    model = '{"name": "radial_bump", "params": {"m": 0.1, "sigma": 2.5}}'
+    report = tmp_path / "charges.json"
+    assert main(["charges", "--model", model, *SMALL, "--out", str(report),
+                 "--quiet"]) == 3
+    capsys.readouterr()
+    out = tmp_path / "q.json"
+    assert main(["qmatrix", "--charges", str(report), "--out", str(out)]) == 3
+    assert "verdict: diverged" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["charges"]["diagnostics"]["e0"]["diverged"] is True
+    assert math.isnan(data["charges"]["e0"]) and "bounds" not in data
+
+
+@pytest.mark.parametrize("model, message", [
+    ('{"params": {"m": 0.1}}', "has no 'name'"),
+    ('{"name": "grid", "params": {"path": "x.aads"}}',
+     "model 'grid' needs the param 'file'"),
+])
+def test_model_config_without_a_required_key_names_it(capsys, model, message):
+    # Each exited 2 with the bare KeyError text, error: 'name' or 'file'.
+    assert main(["charges", "--model", model, *SMALL, "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+
+
 J_KEYS = ("12", "13", "14", "23", "24", "34")
 
 
@@ -476,8 +504,12 @@ def test_qmatrix_at_the_b2_counterexample(tmp_path, capsys):
      "cp must be a list of 4 numbers"),
     ({"charges": _charges(j={k: 0.0 for k in J_KEYS if k != "13"})},
      "j[13] must be a finite number, got None"),
+    ({"charges": {**_charges(math.nan), "diagnostics": {
+        "c1": {"diverged": True}, "e0": {"diverged": False}}}},
+     "e0 must be a finite number, got nan"),
 ], ids=["nan_e0", "inf_e0", "nan_j", "list", "list_charges", "list_j",
-        "string_c", "bool_cp", "long_c", "no_e0", "no_cp", "no_j13"])
+        "string_c", "bool_cp", "long_c", "no_e0", "no_cp", "no_j13",
+        "nan_e0_not_diverged"])
 def test_qmatrix_rejects_a_bad_charges_file(tmp_path, capsys, data, message):
     # A charges file is user input: a field that is missing, of the wrong
     # kind, not a number or not finite is a usage error naming it, not a

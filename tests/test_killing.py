@@ -9,7 +9,7 @@ from adspet.geometry import DegenerateCoordinateError, ModelConstants, sphere_gr
 from adspet.killing import (
     ALL_LABELS,
     ads_metric_diag,
-    killing_frame_table,
+    killing_frame_factors,
     killing_radial_scale,
     killing_residual,
     killing_vector_frame,
@@ -262,15 +262,22 @@ def test_antisymmetry_of_labels():
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
 def test_frame_table_factors_at_every_radius(kappa):
-    # U^(m) = R(r) T^(m), m = 0, 2, 3, 4, against the direct frame components.
+    # U^(m) = R(r) c T_theta T_psi T_phi, m = 0, 2, 3, 4, against the direct
+    # frame components: each factor varies along its own angle only.
     k = ModelConstants(kappa)
     grid = sphere_grid(6, 5, 8)
     angles = (grid.theta, grid.psi, grid.phi)
     for label in ALL_LABELS:
-        table = killing_frame_table(label, *angles, k)
+        factors = killing_frame_factors(label, *angles, k)
+        assert len(factors) == 4
+        for coef, per_angle in factors:
+            for axis, f in enumerate(per_angle):
+                assert all(n == 1 for i, n in enumerate(np.shape(f)) if i != axis)
         for r in (0.3, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 10.0):
             u = killing_vector_frame(label, (r, *angles), k)
             direct = np.stack(np.broadcast_arrays(*(u[m] for m in (0, 2, 3, 4))))
-            factored = killing_radial_scale(label, r, k) * table
+            factored = killing_radial_scale(label, r, k) * np.stack(
+                [np.broadcast_to(c * t * p * f, grid.shape)
+                 for c, (t, p, f) in factors])
             assert factored.shape == (4,) + grid.shape
             assert np.max(np.abs(factored - direct)) <= 1e-12 * np.max(np.abs(direct))

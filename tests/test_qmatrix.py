@@ -556,6 +556,27 @@ def test_boundary_identity_lhs_frozen(mode):
     assert abs(lhs - frozen) <= 1e-12 * abs(frozen)
 
 
+def test_exact_identity_memory_peak():
+    # The integrand is summed in a workspace kept per shape, with the node
+    # weights folded into each table: an exact-mode call at 16^3 peaks at
+    # about 0.57 MiB, most of it the four complex spinor profiles.  One
+    # (4,) + grid temporary per table (128 KiB), as a product of a
+    # coefficient and a table or of the integrand and the weights, would
+    # take it past 0.625 MiB; it read 0.86-0.99 MiB with those temporaries.
+    model = OffdiagMomentumModel(q=0.05, axis=2, profile="sin_theta",
+                                 constants=K1)
+    rng = np.random.default_rng(6)
+    lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    boundary_identity(model, lam, Q_STD, "exact")  # caches and workspace
+    tracemalloc.start()
+    try:
+        boundary_identity(model, lam, Q_STD, "exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.625 * 2**20
+
+
 def test_boundary_identity_mode_validation():
     model = RadialBumpModel(m=0.1, constants=K1)
     with pytest.raises(ValueError):
@@ -698,8 +719,8 @@ def test_exact_identity_matches_the_nine_bilinears(shapes, radii):
         integrand = (0.25 * (e1 + coeff[0]) * bil[0]
                      + 0.25j * sum(c * b for c, b in zip(coeff, bil[1:5]))
                      - 0.5 * sum(p * b for p, b in zip(p1, bil[5:])))
-        expected = s.integrate(integrand)
-        expected_abs = s.integrate(np.abs(integrand))
+        expected = s.grid.integrate(integrand, s.r, K1)
+        expected_abs = s.grid.integrate(np.abs(integrand), s.r, K1)
 
         assert expected_abs > 0
         assert abs(values[i] - expected) <= 1e-12 * expected_abs
@@ -728,8 +749,8 @@ def test_leading_identity_is_the_old_formula(shapes):
         integrand = (0.5 * s.e1 * (uu + vv) + p21 * (uu - vv)
                      + 2 * p31 * uv.imag + 2 * p41 * uv.real)
         integrand = integrand * math.exp(K1.kappa * s.r)
-        expected = s.integrate(integrand)
-        expected_abs = s.integrate(np.abs(integrand))
+        expected = s.grid.integrate(integrand, s.r, K1)
+        expected_abs = s.grid.integrate(np.abs(integrand), s.r, K1)
         assert expected_abs > 0
         assert abs(values[i] - expected) <= 1e-12 * expected_abs
         assert abs(abs_values[i] - expected_abs) <= 1e-12 * expected_abs
