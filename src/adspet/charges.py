@@ -171,17 +171,27 @@ def _parts(v):
     return v[..., 0][()], v[..., 1][()], v[..., 2][()]
 
 
+# The sums below accumulate in place (a new scalar for B = ()): on a batch
+# that allocates one array per term, not one per term and per partial sum,
+# in the same order of operations.
 def _dot(a, b):
     """a . b of two component triples, summed left to right as np.sum sums a
     last axis of length 3."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
 
 
 def _cross(a, b):
     """a x b of two component triples, in np.cross's order of operations."""
     a0, a1, a2 = a
     b0, b1, b2 = b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    x, y, z = a1 * b2, a2 * b0, a0 * b1
+    x -= a2 * b1
+    y -= a0 * b2
+    z -= a1 * b0
+    return x, y, z
 
 
 def derived(cs: ChargeSet) -> DerivedCharges:
@@ -193,8 +203,12 @@ def derived(cs: ChargeSet) -> DerivedCharges:
     c3_sq, cp3_sq, jhat_sq, j4_sq = (_dot(v, v) for v in map(
         _parts, (c3, cp3, jhat, j4)))
     cp4_sq = cs.cp[..., 3][()] ** 2
-    l_squared = 2.0 * (c3_sq + jhat_sq + cp4_sq)
-    a_total = cs.c[..., 3][()] ** 2 + cp4_sq + c3_sq + cp3_sq + jhat_sq + j4_sq
+    l_squared = c3_sq + jhat_sq
+    l_squared += cp4_sq
+    l_squared *= 2.0
+    a_total = cs.c[..., 3][()] ** 2
+    for term in (cp4_sq, c3_sq, cp3_sq, jhat_sq, j4_sq):
+        a_total += term
     return DerivedCharges(jhat=jhat, j4=j4, c3=c3, cp3=cp3,
                           l_squared=l_squared, a_total=a_total)
 

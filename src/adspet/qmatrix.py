@@ -13,7 +13,8 @@ Newton from sqrt(3A).  Rows near a double root (p' <= 1e-3 A^{3/2}) or not
 converged in 40 steps take eigvalsh instead; the error is of order
 eps A^2 / p'(E0), within 6.4e-15 sqrt(A) of eigvalsh over 10^6
 standard-normal draws.  Its momenta are the rows of one numpy generator's
-draw, default_rng(seed).standard_normal((n, 15)).
+draw, default_rng(seed).standard_normal((n, 15)); a sweep draws and roots
+them SAMPLE_BLOCK rows at a time from that one stream, in constant memory.
 
 The identity reads the charges' surface pass at every radius at once.  Its
 integrand, in either mode, is a sum of sixteen real angular tables of the
@@ -59,6 +60,7 @@ __all__ = [
     "RigidityReport",
     "rigidity_check",
     "sample_momenta",
+    "sample_blocks",
     "IdentityReport",
     "boundary_identity",
 ]
@@ -168,13 +170,25 @@ def _closed_form_terms(cs: ChargeSet, d: DerivedCharges):
     cxcp = _cross(c, cp)
     cxj = _cross(c, jhat)
     cpxj = _cross(cp, jhat)
-    pair = tuple(c4 * y - p4 * x for x, y in zip(c, cp))
-    t = p4 * _dot(c, j4) - c4 * _dot(cp, j4) + _dot(cxcp, jhat)
-    s = (_dot(cxcp, cxcp) + _dot(cpxj, cpxj)
-         + _dot(j4, c) ** 2 + _dot(j4, cp) ** 2 + _dot(j4, jhat) ** 2
-         + _dot(j4, j4) * (c4**2 + p4**2)
-         + 2 * c4 * _dot(cxj, j4) + 2 * p4 * _dot(cpxj, j4))
-    w2 = _dot(pair, pair) + _dot(cxj, cxj)
+    # Each sum accumulates in place, term by term, in the order written above.
+    t = p4 * _dot(c, j4)
+    t -= c4 * _dot(cp, j4)
+    t += _dot(cxcp, jhat)
+    s = _dot(cxcp, cxcp)
+    s += _dot(cpxj, cpxj)
+    s += _dot(j4, c) ** 2
+    s += _dot(j4, cp) ** 2
+    s += _dot(j4, jhat) ** 2
+    s += _dot(j4, j4) * (c4**2 + p4**2)
+    s += 2 * c4 * _dot(cxj, j4)
+    s += 2 * p4 * _dot(cpxj, j4)
+    pair = []
+    for x, y in zip(c, cp):
+        v = c4 * y
+        v -= p4 * x
+        pair.append(v)
+    w2 = _dot(pair, pair)
+    w2 += _dot(cxj, cxj)
     return t, s, w2
 
 
@@ -331,27 +345,43 @@ def _psd_boundary_energy(cs0: ChargeSet,
     d, t, s, w2 = _momentum_terms(cs0) if terms is None else terms
     a = d.a_total
     c2, c1, c0 = -2 * a, 8 * t, a * a - 4 * (s + w2)
+    c2_twice = 2 * c2
     x = np.sqrt(3 * a)
     flat = 1e-3 * a * np.sqrt(a)
-    live = np.flatnonzero(a > 0)
-    fallback = []
-    for _ in range(40):
-        if not live.size:
-            break
-        xl = x[live]
-        x2 = xl * xl
-        dp = (4 * x2 + 2 * c2[live]) * xl + c1[live]
-        stalled = dp <= flat[live]
-        if stalled.any():
-            fallback.append(live[stalled])
-            keep = ~stalled
-            live, xl, x2, dp = live[keep], xl[keep], x2[keep], dp[keep]
-        step = ((x2 + c2[live]) * x2 + c1[live] * xl + c0[live]) / dp
-        # A step at or below 0 is roundoff at the root: x stays where it is.
-        x[live] = xl - np.maximum(step, 0.0)
-        live = live[step > 1e-15 * xl]
-    fallback.append(live)
-    rows = np.concatenate(fallback)
+    live = a > 0
+    fallback = np.zeros_like(live)
+    # Every row is stepped, in place, and only the live ones move: for a
+    # block of rows that takes fewer numpy calls and allocations than
+    # gathering the live rows at each step.  A row that is not live may
+    # divide 0 by 0; its step is never taken.
+    x2, dp, step, tmp = (np.empty_like(x) for _ in range(4))
+    flags = np.empty_like(live)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(40):
+            if not live.any():
+                break
+            np.multiply(x, x, out=x2)
+            # dp = (4 x2 + 2 c2) x + c1 = p'(x)
+            np.multiply(x2, 4, out=dp)
+            dp += c2_twice
+            dp *= x
+            dp += c1
+            stalled = np.less_equal(dp, flat, out=flags)
+            stalled &= live
+            if stalled.any():
+                fallback |= stalled
+                live &= ~stalled
+            # step = ((x2 + c2) x2 + c1 x + c0) / dp = p(x) / p'(x)
+            np.add(x2, c2, out=step)
+            step *= x2
+            step += np.multiply(c1, x, out=tmp)
+            step += c0
+            step /= dp
+            moving = np.greater(step, np.multiply(x, 1e-15, out=tmp), out=flags)
+            # A step at or below 0 is roundoff at the root: x stays where it is.
+            np.subtract(x, np.maximum(step, 0.0, out=step), out=x, where=live)
+            live &= moving
+    rows = np.flatnonzero(fallback | live)
     if rows.size:
         q0 = assemble_q(ChargeSet(e0=np.zeros(rows.size), c=cs0.c[rows],
                                   cp=cs0.cp[rows], j=cs0.j[rows]))
@@ -368,7 +398,22 @@ class _Sample(tuple):
     terms: _MomentumTerms
 
 
-def sample_momenta(seed: int, n: int):
+# The rows of one sample_momenta call in a sweep.  Even, so every block
+# starts on an even row and delta keeps its parity by global row index.  A
+# sweep of blocks of 2048 rows peaks at about 1.1 MiB traced, whatever n.
+SAMPLE_BLOCK = 2048
+
+
+def _require_sample_count(n: int) -> None:
+    # A sweep's memory does not grow with n, so the cap is on run time: at
+    # about 0.55 us a row (2-vCPU x86 host) 2**32 rows take some 40 minutes.
+    # (One sample_momenta call holds all its rows: 2**32 of them take
+    # 515 GB.)  More is a usage error, raised before anything is drawn.
+    if not 1 <= n <= 2**32:
+        raise ValueError(f"n must be in 1..2**32, got {n}")
+
+
+def sample_momenta(seed: int | np.random.Generator, n: int):
     """Vectorized PSD charge sampler.
 
     Returns (e0, c, cp, j, delta) arrays with shapes (n,), (n,4), (n,4),
@@ -384,25 +429,49 @@ def sample_momenta(seed: int, n: int):
     Row i of the draw np.random.default_rng(seed).standard_normal((n, 15))
     is sample i: columns 0:4 are c, 4:8 c', 8:14 J and 14 gives delta.
     The generator fills the array row by row, so a shorter run is a prefix
-    of a longer one.  numpy.random is imported only when the sampler runs,
-    not at module level: loading it costs tens of milliseconds and several
-    MB of memory on every command, and only this sampler needs it.
+    of a longer one.  seed may also be a numpy Generator, which
+    default_rng returns as it is: the draw then continues its stream, and
+    successive calls of even n give the rows of one draw in order, with
+    delta's parity kept.  sample_blocks sweeps that way, in constant memory.
+    numpy.random is imported only when the sampler runs, not at module
+    level: loading it costs tens of milliseconds and several MB of memory
+    on every command, and only this sampler needs it.
     """
-    # n beyond 2**32 is no sweep anyone can run (2**32 rows of 15 normals
-    # alone take 515 GB): reject it as a usage error before allocating.
-    if not 1 <= n <= 2**32:
-        raise ValueError(f"n must be in 1..2**32, got {n}")
+    _require_sample_count(n)
     from numpy.random import default_rng
 
     draw = default_rng(seed).standard_normal((n, 15))
     c, cp, j = draw[:, 0:4], draw[:, 4:8], draw[:, 8:14]
-    delta = np.where(np.arange(n) % 2 == 0, 0.0, np.abs(draw[:, 14]))
+    delta = np.abs(draw[:, 14])
+    delta[::2] = 0.0
     cs0 = ChargeSet(e0=np.zeros(n), c=c, cp=cp, j=j)
     terms = _momentum_terms(cs0)
     e0 = _psd_boundary_energy(cs0, terms) + delta
     out = _Sample((e0, c, cp, j, delta))
     out.terms = terms
     return out
+
+
+def sample_blocks(seed: int, n: int):
+    """The rows of sample_momenta(seed, n), in order, as successive samples
+    of SAMPLE_BLOCK rows (the last may be shorter), drawn from one generator
+    seeded once.  Each row is computed on its own, so every block equals
+    those rows of the one-call sample bit for bit.  The last block yielded
+    is kept until the next is drawn, and no longer: a caller that drops
+    each block before it asks for the next sweeps any n in constant
+    memory."""
+    _require_sample_count(n)
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
+    for start in range(0, n, SAMPLE_BLOCK):
+        # The block before is let go only once this one is drawn.  Let go
+        # first, its memory sat at the top of the C heap, which glibc hands
+        # back to the system and the next block faults in again: about 660
+        # minor faults per 10^4-row sweep in a long-running process (the
+        # benchmark's worker), against about 100 this way.
+        sample = sample_momenta(rng, min(SAMPLE_BLOCK, n - start))
+        yield sample
 
 
 @dataclass(frozen=True)

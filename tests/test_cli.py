@@ -2,13 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from adspet import cli, killing
+from adspet import __version__, cli, killing
+from adspet.charges import ChargeSet, derived
 from adspet.cli import main
 from adspet.initial_data import RadialBumpModel, write_grid_file
+from adspet.qmatrix import SAMPLE_BLOCK, sample_momenta, theorem_bounds
 
 BUMP = '{"name": "radial_bump", "params": {"m": 0.1}}'
 OFFDIAG = (
@@ -41,6 +44,36 @@ def test_verify_killing_single_label(capsys):
     assert main(["verify", "killing", "--label", "4,0", "--samples", "5",
                  "--quiet"]) == 0
     capsys.readouterr()
+
+
+def test_verify_spinors_judges_ratios_at_small_kappa(tmp_path, capsys):
+    # At kappa 1e-8 every residual is below 1e-13 in absolute terms, which a
+    # bare cutoff took for roundoff: no ratio was judged and the run passed
+    # with ratio_min null.  On the scale kappa |Phi0| they follow the h^2 law.
+    out = tmp_path / "spinors.json"
+    assert main(["verify", "spinors", "--kappa", "1e-8", "--out", str(out),
+                 "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert data["max_relative_residual"] < 1e-5
+    assert 3.99 < data["ratio_min"] <= data["ratio_max"] < 4.01
+    capsys.readouterr()
+
+
+def test_verify_spinors_fails_when_no_ratio_is_judged(monkeypatch, capsys):
+    # Residuals that all vanish leave no ratio to judge: nothing tested the
+    # h^2 law, so the run must not pass.
+    monkeypatch.setattr(cli, "killing_spinor_residual",
+                        lambda lam, p, d, h, k: np.zeros(len(d)))
+    assert main(["verify", "spinors", "--samples", "5", "--quiet"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("label", ["x", "1", "1,2,3", "", "3,3", "7,9"])
+def test_verify_killing_malformed_label_is_named(label, capsys):
+    assert main(["verify", "killing", "--label", label, "--samples", "3",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --label must be a,b"), err
 
 
 @pytest.mark.parametrize("kappa", ["5", "30"])
@@ -298,6 +331,84 @@ def test_sample_psd_matches_frozen_report(tmp_path, capsys):
     for key, val in FROZEN_SAMPLE_PSD.items():
         assert abs(data[key] - val) <= 1e-12 * abs(val), key
     capsys.readouterr()
+
+
+def _one_array_report(seed, n):
+    """The `sample-psd --n n --seed seed --out` bytes, built from a single
+    sample_momenta(seed, n) and theorem_bounds on all n rows at once."""
+    e0, c, cp, j, _ = sample_momenta(seed, n)
+    cs = ChargeSet(e0=e0, c=c, cp=cp, j=j)
+    b = theorem_bounds(cs)
+    failures = int(np.count_nonzero(~b.satisfied))
+    report = {
+        "config": {"n": n, "seed": seed, "version": __version__},
+        "n": n,
+        "failures": failures,
+        "worst_margin": float(b.margin.min()),
+        "min_a_minus_2sqrt2_w": float(np.min(
+            derived(cs).a_total - 2 * math.sqrt(2) * b.w)),
+        "passed": failures == 0,
+    }
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                               SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1, 10_000])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_sample_psd_blocks_match_one_array(n, seed, tmp_path, capsys):
+    # The sweep draws, roots and bounds its samples a block at a time from
+    # one generator; its report is that of all n rows at once, to the byte.
+    out = tmp_path / "s.json"
+    main(["sample-psd", "--n", str(n), "--seed", str(seed), "--out",
+          str(out), "--quiet"])
+    assert out.read_text() == _one_array_report(seed, n)
+    capsys.readouterr()
+
+
+def test_sample_psd_worst_margin_keeps_a_nan_block(tmp_path, monkeypatch,
+                                                  capsys):
+    # A NaN margin in one block stays NaN in the report, as ndarray.min
+    # keeps it over all n rows; Python's min would drop it.
+    bounds = cli.theorem_bounds
+    calls = []
+
+    def nan_in_second_block(cs, terms):
+        b = bounds(cs, terms=terms)
+        calls.append(b)
+        if len(calls) == 2:
+            b.margin[0] = math.nan
+        return b
+
+    monkeypatch.setattr(cli, "theorem_bounds", nan_in_second_block)
+    out = tmp_path / "s.json"
+    main(["sample-psd", "--n", str(3 * SAMPLE_BLOCK), "--out", str(out),
+          "--quiet"])
+    assert len(calls) == 3
+    assert math.isnan(json.loads(out.read_text())["worst_margin"])
+    capsys.readouterr()
+
+
+def test_sample_psd_memory_does_not_grow_with_n():
+    # The sweep holds one block of 2048 rows while it draws the next, about
+    # 1.1 MiB traced for any n.  All n rows at once took about 3.6 MiB at
+    # n = 10^4 and 72 MiB at 2 10^5.
+    main(["sample-psd", "--n", "10", "--quiet"])  # numpy.random, once
+    for n in (10_000, 200_000):
+        tracemalloc.start()
+        try:
+            assert main(["sample-psd", "--n", str(n), "--quiet"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20, (n, peak)
+
+
+@pytest.mark.parametrize("n", ["0", "-5", str(2**32 + 1)])
+def test_sample_psd_count_out_of_range_is_usage_error(n, capsys):
+    # The sweep checks n before its first block: no block would give an
+    # empty sweep that passes, and past 2**32 rows one of over 40 minutes.
+    assert main(["sample-psd", "--n", n, "--quiet"]) == 2
+    assert "n must be in 1..2**32" in capsys.readouterr().err
 
 
 def test_sample_psd_negative_seed_is_usage_error(capsys):

@@ -346,6 +346,50 @@ def test_boundary_energy_of_zero_momenta_is_zero():
     assert np.all(e0[1::2] > 0)
 
 
+def _gathered_newton(cs0):
+    """The boundary energy's Newton iteration written on the live rows only,
+    gathered afresh at every step: the reference for the in-place loop."""
+    d, t, s, w2 = qmatrix._momentum_terms(cs0)
+    a = d.a_total
+    c2, c1, c0 = -2 * a, 8 * t, a * a - 4 * (s + w2)
+    x = np.sqrt(3 * a)
+    flat = 1e-3 * a * np.sqrt(a)
+    live = np.flatnonzero(a > 0)
+    fallback = []
+    for _ in range(40):
+        if not live.size:
+            break
+        xl = x[live]
+        x2 = xl * xl
+        dp = (4 * x2 + 2 * c2[live]) * xl + c1[live]
+        stalled = dp <= flat[live]
+        fallback.append(live[stalled])
+        live, xl, x2, dp = live[~stalled], xl[~stalled], x2[~stalled], dp[~stalled]
+        step = ((x2 + c2[live]) * x2 + c1[live] * xl + c0[live]) / dp
+        x[live] = xl - np.maximum(step, 0.0)
+        live = live[step > 1e-15 * xl]
+    rows = np.concatenate(fallback + [live])
+    x[rows] = _eig_boundary(ChargeSet(e0=np.zeros(rows.size), c=cs0.c[rows],
+                                      cp=cs0.cp[rows], j=cs0.j[rows]))
+    return x
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_boundary_energy_matches_the_gathered_iteration(seed):
+    # Rows of zero momenta, rows at a double root (c4 alone) and rows of
+    # widely scaled momenta, among standard-normal ones: every row takes
+    # the same steps, and the same fallback, as on the live rows alone.
+    draw = np.random.default_rng(seed).standard_normal((3000, 14))
+    draw[::7] = 0.0
+    draw[1::11] = 0.0
+    draw[1::11, 3] = 1.0
+    draw[2::13] *= 1e40
+    draw[3::17] *= 1e-40
+    cs0 = ChargeSet(e0=np.zeros(len(draw)), c=draw[:, :4], cp=draw[:, 4:8],
+                    j=draw[:, 8:])
+    assert _same_bits(_psd_boundary_energy(cs0), _gathered_newton(cs0))
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**40])
 def test_sampler_takes_no_eigvalsh_on_gaussian_draws(seed, monkeypatch):
     calls = _counting_eigvalsh(monkeypatch)
