@@ -22,6 +22,13 @@ enters only through scalars, evaluated once per (radii, kappa): the radial
 factors of each charge, and coth and 1/f in the mass aspect.
 The same reduction of |table| gives each charge's absolute integral, the
 scale on which a column is judged to be quadrature roundoff.
+
+An aspect whose sources are exactly zero (no nonzero entry, as
+ndarray.any sees it: NaN, subnormal or tiny data are evaluated) is exactly
+zero, so it is not evaluated: e_1 when a and da are zero, P_k1 when h is.
+It is held as zeros of the radius-only shape B + (1, 1, 1), which the
+Killing tables contract summed over every angle.  Time-symmetric data
+(h = 0) thus skip the momentum aspect, and data with a = 0 the mass aspect.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .geometry import (
 )
 from .initial_data import (
     InitialDataModel,
+    _mass_aspect_scalars,
     angular_factors,
     mass_aspect_grid,
     momentum_aspect_grid,
@@ -320,7 +328,10 @@ class SurfaceData:
 
     The fields keep the model's own shape S, which broadcasts to B + grid
     shape and has length 1 along every angle the data do not depend on, and
-    along the radii where they do not depend on r.
+    along the radii where they do not depend on r.  An aspect whose sources
+    are exactly zero (e1 when a and its derivatives have no nonzero entry,
+    p1 when h has none) is not evaluated and holds zeros of the radius-only
+    shape: e1 of shape B + (1, 1, 1), p1 of shape (4,) + B + (1, 1, 1).
     """
 
     r: float | np.ndarray
@@ -369,10 +380,12 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     float or an array of shape B) on the given grid.
 
     The model's a_and_da (which may call a) and h are each called once,
-    with the radii on axes of their own ahead of the angles.  Its `values`
-    are all fifteen pre-limit surface integrals at each radius, shape
-    B + (15,), in CHARGE_NAMES order, including the kappa/16pi and kappa/8pi
-    prefactors; its `scales` are the same integrals of the absolute integrand.
+    with the radii on axes of their own ahead of the angles; an aspect
+    whose sources are exactly zero is zeros of shape B + (1, 1, 1)
+    (SurfaceData).  Its `values` are all fifteen pre-limit surface integrals
+    at each radius, shape B + (15,), in CHARGE_NAMES order, including the
+    kappa/16pi and kappa/8pi prefactors; its `scales` are the same integrals
+    of the absolute integrand.
     """
     k = model.constants
     r = np.asarray(radii, dtype=float)
@@ -381,8 +394,18 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
     grid, angular = _grid_and_factors(ntheta, npsi, nphi)
     nodes = (r_nodes, grid.theta, grid.psi, grid.phi)
     a, da = model.a_and_da(*nodes)
-    e1 = mass_aspect_grid(a, da, r_nodes, angular, k)
-    p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
+    h = model.h(*nodes)
+    # An aspect whose sources are exactly zero is exactly zero: it is not
+    # evaluated, and held as zeros of shape B + (1, 1, 1).
+    if a.any() or da.any():
+        e1 = mass_aspect_grid(a, da, r_nodes, angular, k)
+    else:
+        _mass_aspect_scalars(r, k)  # rejects the radii mass_aspect_grid would
+        e1 = np.zeros(r_nodes.shape)
+    if h.any():
+        p1 = np.moveaxis(momentum_aspect_grid(a, h)[..., :, 0], -1, 0)
+    else:
+        p1 = np.zeros((4,) + r_nodes.shape)
     grid.require_finite(e1)
     grid.require_finite(p1)
     values, scales = _surface_integrals(ntheta, npsi, nphi, k, e1, p1)

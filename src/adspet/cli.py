@@ -32,12 +32,6 @@ EXIT_DIVERGED = 3
 EXIT_NUMERICAL = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -155,9 +149,11 @@ def _say(args, *parts):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state from one call to the next."""
-    parser = _Parser(prog="adspet",
-                     description="Energy-momenta and positivity bounds for "
-                                 "(4+1)-dimensional asymptotically AdS data")
+    # argparse prints the usage and its message, and exits 2 (EXIT_USAGE).
+    parser = argparse.ArgumentParser(
+        prog="adspet",
+        description="Energy-momenta and positivity bounds for "
+                    "(4+1)-dimensional asymptotically AdS data")
     sub = parser.add_subparsers(dest="command", required=True)
     # Flags every subcommand takes.
     common = argparse.ArgumentParser(add_help=False)

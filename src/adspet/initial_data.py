@@ -410,8 +410,7 @@ def mass_aspect_grid(a, da, r, angular: tuple, k: ModelConstants) -> np.ndarray:
     at r <= 0 and NumericalError naming the radius where 1/f overflows a
     float (kappa r past about 710).
     """
-    what = "the radial scalars of the mass aspect"
-    coth, inv_f = (_radial_values(name, r, k, what) for name in ("coth", "inv_f"))
+    coth, inv_f = _mass_aspect_scalars(r, k)
     sin_th, sin_th_ps, two_cot_th, cot_ps_sin_th = angular
     div = da[0][..., 0, 0] + inv_f * (da[1][..., 0, 1] + da[2][..., 0, 2] / sin_th
                                       + da[3][..., 0, 3] / sin_th_ps)
@@ -422,6 +421,15 @@ def mass_aspect_grid(a, da, r, angular: tuple, k: ModelConstants) -> np.ndarray:
     tra = np.einsum("...ii->...", a)
     correction = k.kappa * (a[..., 0, 0] - (1.0 + a[..., 0, 0]) * tra)
     return div - grad_tr - correction
+
+
+def _mass_aspect_scalars(r, k: ModelConstants) -> tuple:
+    """The radial scalars of the mass aspect at r: kappa coth(kappa r) and
+    1/f = kappa / sinh(kappa r), from the cached table of
+    geometry._radial_values, which raises DegenerateCoordinateError at
+    r <= 0 and NumericalError naming the radius where one overflows."""
+    what = "the radial scalars of the mass aspect"
+    return tuple(_radial_values(name, r, k, what) for name in ("coth", "inv_f"))
 
 
 def momentum_aspect_grid(a, h) -> np.ndarray:

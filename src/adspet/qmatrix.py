@@ -20,7 +20,13 @@ The identity reads the charges' surface pass at every radius at once.  Its
 integrand, in either mode, is a sum of sixteen real angular tables of the
 Killing-spinor profiles, built once per call, each times a coefficient
 formed at the data's own shape from a fixed 9 x 16 matrix and the weights
-e^{+-kappa r}; the leading mode is the e^{kappa r} part of that sum.
+e^{+-kappa r}; the leading mode is the e^{kappa r} part of that sum.  Each
+of the nine fields (e_1, the four a-terms, P_11..P_41) that is exactly zero
+(no nonzero entry, as ndarray.any sees it) only adds exact zeros, so its
+terms are dropped; only the tables, and the products conj(x_i) y_j, that a
+remaining term reads are built, and with no term left (a = h = 0) neither
+the profiles nor the integrand are, and both integrals are 0.  The
+surface pass holds a skipped aspect as zeros of shape B + (1, 1, 1).
 """
 
 from __future__ import annotations
@@ -536,18 +542,27 @@ _IDENTITY_TERMS = tuple(
     for t in range(16))
 
 
-def _identity_tables(prof):
-    """The sixteen real angular tables of the profiles (u+, u-, v+, v-), in
-    order, each built when it is asked for, so one product conj(x_i) y_j is
-    held at a time."""
-    up, um, vp, vm = prof
-    for x0, x1 in ((up, vp), (um, vm)):
-        x01 = np.conj(x0) * x1
-        yield from (np.abs(x0) ** 2, np.abs(x1) ** 2, x01.real, x01.imag)
-    for x in (up, vp):
-        for y in (um, vm):
-            xy = np.conj(x) * y
-            yield from (xy.real, xy.imag)
+# The profiles each table reads, as indices into (u+, u-, v+, v-): (i, i)
+# is |x_i|^2, and (i, j) is conj(x_i) x_j, whose real part is an even table
+# and whose imaginary part the odd one after it.
+_TABLE_PROFILES = ((0, 0), (2, 2), (0, 2), (0, 2), (1, 1), (3, 3), (1, 3), (1, 3),
+                   (0, 1), (0, 1), (0, 3), (0, 3), (2, 1), (2, 1), (2, 3), (2, 3))
+
+
+def _identity_tables(prof, tables):
+    """(t, table t) for each index t of `tables` (increasing), of the sixteen
+    real angular tables of the profiles prof = (u+, u-, v+, v-).  Each is
+    built when it is asked for, and a product conj(x_i) x_j only when one of
+    its two tables is, so one product is held at a time."""
+    held = None
+    for t in tables:
+        i, j = _TABLE_PROFILES[t]
+        if i == j:
+            yield t, np.abs(prof[i]) ** 2
+            continue
+        if held is None or held[0] != (i, j):
+            held = (i, j), np.conj(prof[i]) * prof[j]
+        yield t, held[1].imag if t % 2 else held[1].real
 
 
 @functools.lru_cache(maxsize=4)
@@ -559,16 +574,18 @@ def _identity_workspace(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(shape), np.empty(shape)
 
 
-def _identity_surface_value(s: SurfaceData, prof, mode):
+def _identity_surface_value(s: SurfaceData, lam: KillingParams, mode):
     """The boundary surface integral at every radius of s, either mode.
 
-    prof holds the Killing-spinor angular profiles (u+, u-, v+, v-) on the
-    grid of s; r enters only through the weights e^{+-kappa r}.  The
-    integrand sum_t G_t T_t pairs each angular table T_t with a coefficient
-    G_t formed at the data's shape; it is formed, weighted and summed at the
-    nodes of every radius at once in a workspace kept per shape.  Returns
-    the integrals and the integrals of the integrand's absolute value, each
-    of the shape of s.r.
+    The integrand sum_t G_t T_t pairs each angular table T_t of the
+    Killing-spinor profiles of lam on the grid of s with a coefficient G_t
+    formed at the data's shape; r enters only through the weights
+    e^{+-kappa r}.  It is formed, weighted and summed at the nodes of every
+    radius at once in a workspace kept per shape.  A field that is exactly
+    zero only adds exact zeros, so its terms are dropped, and a table with
+    no term left is not built; with none left at all, neither are the
+    profiles, and both integrals are 0.  Returns the integrals and the
+    integrals of the integrand's absolute value, each of the shape of s.r.
     """
     k = s.constants
     a = s.a
@@ -579,25 +596,29 @@ def _identity_surface_value(s: SurfaceData, prof, mode):
     # e_1 + coeff_a[0], is the divergence-minus-trace scalar: the mass aspect
     # without its kappa correction term.
     fields = (s.e1, *coeff_a, *s.p1)
+    nonzero = [f.any() for f in fields]
+    terms = {t: live for t in _MODE_TABLES[mode]
+             if (live := [(n, c) for n, c in _IDENTITY_TERMS[t] if nonzero[n]])}
     what = "the Killing spinor weights exp(+-kappa r)"
     r = np.asarray(s.r, dtype=float)
     radial = {power: _radial_values(name, r, k, what).reshape(r.shape + (1, 1, 1))
               for power, name in ((1, "exp"), (-1, "exp_neg"))}
     area = _radial_values("area", r, k, "the area factors of S_r")
-    integrand, term = _identity_workspace(r.shape + s.grid.shape)
+    if not terms:
+        return np.zeros(r.shape), np.zeros(r.shape)
+    grid = s.grid
+    prof = profiles(lam, grid.theta, grid.psi, grid.phi)
+    integrand, term = _identity_workspace(r.shape + grid.shape)
     integrand.fill(0.0)
-    # zip stops at the mode's last table, so the leading mode builds four.
-    for t, table in zip(_MODE_TABLES[mode], _identity_tables(prof)):
-        if not _IDENTITY_TERMS[t]:
-            continue
-        g = sum(c * fields[n] for n, c in _IDENTITY_TERMS[t])
+    for t, table in _identity_tables(prof, terms):
+        g = sum(c * fields[n] for n, c in terms[t])
         if _TABLE_POWER[t]:
             g = radial[_TABLE_POWER[t]] * g
         integrand += np.multiply(g, table, out=term)
-    s.grid.require_finite(integrand)
+    grid.require_finite(integrand)
     # The weights are positive, so |weighted integrand| is the weighted
     # |integrand|.
-    integrand *= s.grid.weights
+    integrand *= grid.weights
     values = np.sum(integrand, axis=(-3, -2, -1)) * area
     abs_values = np.sum(np.abs(integrand, out=integrand), axis=(-3, -2, -1)) * area
     return values, abs_values
@@ -617,9 +638,7 @@ def boundary_identity(
     if mode not in ("leading", "exact"):
         raise ValueError(f"mode must be 'leading' or 'exact', got {mode!r}")
     cs, surface = charges_and_surfaces(model, q)
-    grid = surface.grid
-    prof = profiles(lam, grid.theta, grid.psi, grid.phi)
-    re_vals, abs_vals = _identity_surface_value(surface, prof, mode)
+    re_vals, abs_vals = _identity_surface_value(surface, lam, mode)
     # Like a charge column the data do not source, an integral that stays
     # at quadrature roundoff of its absolute integral is zero; fitted, its
     # noise can read as growth.

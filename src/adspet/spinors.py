@@ -54,10 +54,20 @@ def profiles(lam: KillingParams, theta, psi, phi):
     b12 = -l1 * em * sps + l2 * ep * cps
     b34 = l3 * em * sps - l4 * ep * cps
 
-    u_plus = a12 * cth + a34 * sth
-    u_minus = -1j * a12 * sth + 1j * a34 * cth
-    v_plus = 1j * b12 * cth + 1j * b34 * sth
-    v_minus = -b12 * sth + b34 * cth
+    # Each profile x cx + y cy is accumulated in its own array, with y cy
+    # written to one scratch array shared by all four, so no full-shape
+    # array is allocated per term.
+    scratch = np.empty(np.broadcast_shapes(np.shape(a12), np.shape(cth)), dtype=complex)
+
+    def combine(x, cx, y, cy):
+        out = np.multiply(x, cx)
+        out += np.multiply(y, cy, out=scratch)
+        return out
+
+    u_plus = combine(a12, cth, a34, sth)
+    u_minus = combine(-1j * a12, sth, 1j * a34, cth)
+    v_plus = combine(1j * b12, cth, 1j * b34, sth)
+    v_minus = combine(-b12, sth, b34, cth)
     return u_plus, u_minus, v_plus, v_minus
 
 

@@ -35,6 +35,7 @@ from adspet.geometry import (
 from adspet.initial_data import (
     ANGULAR_PROFILES,
     AdsExactModel,
+    InitialDataModel,
     OffdiagMomentumModel,
     RadialBumpModel,
     angular_factors,
@@ -412,6 +413,50 @@ def test_surface_pass_calls_the_public_mass_aspect(monkeypatch):
     monkeypatch.setattr(charges, "mass_aspect_grid", counted)
     compute_charges(RadialBumpModel(m=0.1, constants=K1), Q_STD)
     assert calls == [(4, 1, 1, 1)] * 2
+
+
+class _OneNodeModel(InitialDataModel):
+    """a_00 = amp exp(-4 kappa (r - 4)) at the first node of the grid and 0
+    at every other, h = 0: data that are zero everywhere but at one node."""
+
+    name = "one_node"
+
+    def __init__(self, amp):
+        super().__init__(4.0, K1)
+        self.amp = amp
+
+    def a(self, r, theta, psi, phi):
+        out = np.zeros(np.broadcast_shapes(*map(np.shape, (r, theta, psi, phi)))
+                       + (4, 4), dtype=np.result_type(r, theta, psi, phi))
+        out[..., 0, 0, 0, 0, 0] = self.amp * np.exp(-4.0 * (r[..., 0, 0, 0] - 4.0))
+        return out
+
+    def h(self, r, theta, psi, phi):
+        return np.zeros((1, 1, 1, 1, 4, 4))
+
+
+def test_only_exactly_zero_sources_skip_the_mass_aspect(monkeypatch):
+    # Data that are zero but at one node, even at 1e-300 there, are not
+    # exactly zero: the mass aspect is evaluated on both grids, and E0 is
+    # linear in the amplitude.  (The skip tests ndarray.any; a pass that
+    # evaluates every aspect passes this test too.)  The surface integrals
+    # are formed before their radial factors (about e^{4 kappa r}), so at
+    # 1e-300 they are subnormal floats, with fewer bits: 2e-8 relative here.
+    calls = []
+
+    def counted(a, da, r, angular, k):
+        calls.append(np.shape(r))
+        return mass_aspect_grid(a, da, r, angular, k)
+
+    monkeypatch.setattr(charges, "mass_aspect_grid", counted)
+    unit = {}
+    for amp in (1e-300, 1e-290, 1e-150, 1e-20):
+        calls.clear()
+        unit[amp] = compute_charges(_OneNodeModel(amp), Q_STD).e0 / amp
+        assert calls == [(4, 1, 1, 1)] * 2
+    assert unit[1e-20] > 0
+    for amp, tol in ((1e-300, 1e-7), (1e-290, 1e-12), (1e-150, 1e-12)):
+        assert abs(unit[amp] / unit[1e-20] - 1) <= tol, (amp, unit)
 
 
 # Every bundled model kind: each offdiag_momentum axis and profile.

@@ -440,6 +440,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "spinors", "--samples", "0"], "expected a positive integer"),
+    (["sample-psd", "--n", "x"], "invalid int value"),
+])
+def test_rejected_flag_value_says_why(argv, message, capsys):
+    # The usage line is followed by argparse's message, which names the
+    # flag and what was wrong with its value.
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: adspet ")
+    assert f"adspet {argv[0]}: error: argument {argv[-2]}: {message}" in err
+
+
 def test_bad_lambda_is_usage_error(capsys):
     code = main(["identity", "--model", BUMP, "--lambda", "1,2,3",
                  "--quiet"])

@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adspet import geometry, initial_data, qmatrix
-from adspet.charges import ChargeSet, SurfaceData, derived
+from adspet import charges, geometry, initial_data, qmatrix
+from adspet.charges import ChargeSet, SurfaceData, charge_surface_values, derived
 from adspet.clifford import gamma
-from adspet.geometry import ModelConstants, QuadratureSpec, sphere_grid
+from adspet.geometry import ModelConstants, QuadratureSpec, _radial_values, sphere_grid
 from adspet.initial_data import (
+    AdsExactModel,
+    InitialDataModel,
     OffdiagMomentumModel,
     RadialBumpModel,
     angular_factors,
     mass_aspect_grid,
+    momentum_aspect_grid,
 )
 from adspet.qmatrix import (
+    _IDENTITY_TERMS,
+    _TABLE_POWER,
     _closed_form_terms,
     _identity_surface_value,
     _psd_boundary_energy,
@@ -745,8 +750,7 @@ def test_exact_identity_matches_the_nine_bilinears(shapes, radii):
     batch = _surface_data(shapes, radii, rng)
     grid = batch.grid
     lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    values, abs_values = map(np.asarray, _identity_surface_value(
-        batch, profiles(lam, grid.theta, grid.psi, grid.phi), "exact"))
+    values, abs_values = map(np.asarray, _identity_surface_value(batch, lam, "exact"))
     assert values.shape == abs_values.shape == np.shape(radii)
 
     for i in np.ndindex(np.shape(radii)):
@@ -783,7 +787,7 @@ def test_leading_identity_is_the_old_formula(shapes):
     grid = batch.grid
     lam = KillingParams(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
     prof = profiles(lam, grid.theta, grid.psi, grid.phi)
-    values, abs_values = _identity_surface_value(batch, prof, "leading")
+    values, abs_values = _identity_surface_value(batch, lam, "leading")
 
     up, _, vp, _ = prof
     uu, vv, uv = np.abs(up) ** 2, np.abs(vp) ** 2, np.conj(up) * vp
@@ -834,3 +838,125 @@ def test_closed_forms_round_as_numpy_vector_ops(batch):
     for got, want in zip(_closed_form_terms(cs, d) + (d.l_squared, d.a_total),
                          (t, s, w2, l_squared, a_total)):
         assert np.shape(got) == batch and np.array_equal(got, want)
+
+
+class _EveryFieldModel(InitialDataModel):
+    """a and h with every frame component nonzero, decaying as
+    e^{-4 kappa r}, h varying with theta and phi: each of the identity's nine
+    fields is nonzero, so nothing can be skipped."""
+
+    name = "every_field"
+    A = 0.1 * (np.arange(16.0).reshape(4, 4) % 5 + 1)
+    H = 0.05 * (np.arange(16.0).reshape(4, 4) % 3 - 0.5)
+    A, H = A + A.T, H + H.T
+
+    def __init__(self):
+        super().__init__(4.0, K1)
+
+    def a(self, r, theta, psi, phi):
+        return np.exp(-4.0 * r)[..., None, None] * self.A
+
+    def h(self, r, theta, psi, phi):
+        f = np.exp(-4.0 * r) * (1 + np.cos(theta) * np.sin(phi))
+        return f[..., None, None] * self.H
+
+
+# The four model kinds of the benchmark, and data with nothing to skip.
+IDENTITY_MODELS = {
+    "ads_exact": AdsExactModel(K1),
+    "radial_bump": RadialBumpModel(m=0.1, constants=K1),
+    "offdiag_sin_theta": OffdiagMomentumModel(0.05, 2, "sin_theta", constants=K1),
+    "offdiag_sin_phi": OffdiagMomentumModel(0.05, 2, "sin_phi", constants=K1),
+    "every_field": _EveryFieldModel(),
+}
+
+
+def _identity_full_sum(model, lam, mode, radii):
+    """The identity integrals of a model on the 16^3 grid, written out: the
+    surface fields evaluated whether zero or not, and the sixteen-table sum
+    with every term, in the order of operations of the identity."""
+    k = model.constants
+    grid = sphere_grid(16, 16, 16)
+    r = np.array(radii)
+    nodes = (r.reshape(-1, 1, 1, 1), grid.theta, grid.psi, grid.phi)
+    a, da = model.a_and_da(*nodes)
+    e1 = mass_aspect_grid(a, da, nodes[0], angular_factors(grid.theta, grid.psi), k)
+    p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
+    tra = np.einsum("...ii->...", a)
+    coeff_a = k.kappa * np.moveaxis(
+        a[..., :, 0] - (np.eye(4)[0] + a[..., :, 0]) * tra[..., None], -1, 0)
+    fields = (e1, *coeff_a, *p1)
+    up, um, vp, vm = profiles(lam, grid.theta, grid.psi, grid.phi)
+    tables = []
+    for x0, x1 in ((up, vp), (um, vm)):
+        x01 = np.conj(x0) * x1
+        tables += [np.abs(x0) ** 2, np.abs(x1) ** 2, x01.real, x01.imag]
+    for x in (up, vp):
+        for y in (um, vm):
+            xy = np.conj(x) * y
+            tables += [xy.real, xy.imag]
+    weight = {p: _radial_values(name, r, k, "").reshape(-1, 1, 1, 1)
+              for p, name in ((1, "exp"), (-1, "exp_neg"))}
+    integrand = np.zeros(r.shape + grid.shape)
+    for t in range(4 if mode == "leading" else 16):
+        if _IDENTITY_TERMS[t]:
+            g = sum(c * fields[n] for n, c in _IDENTITY_TERMS[t])
+            if _TABLE_POWER[t]:
+                g = weight[_TABLE_POWER[t]] * g
+            integrand += g * tables[t]
+    integrand *= grid.weights
+    area = _radial_values("area", r, k, "")
+    return (np.sum(integrand, axis=(-3, -2, -1)) * area,
+            np.sum(np.abs(integrand), axis=(-3, -2, -1)) * area)
+
+
+@pytest.mark.parametrize("mode", ["leading", "exact"])
+@pytest.mark.parametrize("kind", IDENTITY_MODELS)
+def test_pruned_identity_is_the_full_sum_bit_for_bit(kind, mode):
+    # Dropping the terms of exactly-zero fields, the tables no term reads,
+    # and the aspects of exactly-zero sources only ever drops exact zeros.
+    model = IDENTITY_MODELS[kind]
+    radii = (4.0, 5.0, 6.0, 7.0)
+    lam = KillingParams(0.3 - 1.1j, 0.7 + 0.2j, -0.5 + 0.9j, 1.3 - 0.4j)
+    surface = charge_surface_values(model, np.array(radii), 16, 16, 16)
+    got = _identity_surface_value(surface, lam, mode)
+    want = _identity_full_sum(model, lam, mode, radii)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (4,) and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes(), (g, w)
+    assert (np.any(want[1] > 0)) == (kind != "ads_exact")
+
+
+@pytest.mark.parametrize("kind,mass,momentum,profile_calls", [
+    ("ads_exact", 0, 0, 0),
+    ("radial_bump", 2, 0, 1),
+    ("offdiag_sin_theta", 0, 2, 1),
+    ("every_field", 2, 2, 1),
+])
+def test_zero_sources_are_not_evaluated(kind, mass, momentum, profile_calls,
+                                        monkeypatch):
+    # Per identity op: the mass aspect only where a is not exactly zero, the
+    # momentum aspect only where h is not, once per grid each, and the
+    # spinor profiles only where some term of the integrand is left.
+    calls = {"mass": 0, "momentum": 0, "profiles": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(charges, "mass_aspect_grid",
+                        counted("mass", mass_aspect_grid))
+    monkeypatch.setattr(charges, "momentum_aspect_grid",
+                        counted("momentum", momentum_aspect_grid))
+    monkeypatch.setattr(qmatrix, "profiles", counted("profiles", profiles))
+    lam = KillingParams(1.0, 0.5j, -0.3, 0.2 + 0.1j)
+    for mode in ("leading", "exact"):
+        for name in calls:
+            calls[name] = 0
+        rep = boundary_identity(IDENTITY_MODELS[kind], lam, Q_STD, mode)
+        assert calls == {"mass": mass, "momentum": momentum,
+                         "profiles": profile_calls}, mode
+        if kind == "ads_exact":
+            assert (rep.lhs, rep.rhs, rep.gap, rep.diverged) == (0.0, 0.0, 0.0, False)
