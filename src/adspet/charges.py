@@ -403,7 +403,7 @@ def charge_surface_values(model: InitialDataModel, radii, ntheta: int,
         _mass_aspect_scalars(r, k)  # rejects the radii mass_aspect_grid would
         e1 = np.zeros(r_nodes.shape)
     if h.any():
-        p1 = np.moveaxis(momentum_aspect_grid(a, h)[..., :, 0], -1, 0)
+        p1 = momentum_aspect_grid(a, h)
     else:
         p1 = np.zeros((4,) + r_nodes.shape)
     grid.require_finite(e1)

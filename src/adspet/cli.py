@@ -65,77 +65,10 @@ def _resolved_config(args, extra=None):
     return cfg
 
 
-def _json_float(value) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_dict(value, pad: str) -> str:
-    if not value:
-        return "{}"
-    inner = pad + "  "
-    items = []
-    for key in sorted(value):
-        item = value[key]
-        encode = _JSON_SCALARS.get(type(item))
-        items.append(_json_string(key) + ": " + (
-            encode(item) if encode is not None else _json(item, inner)))
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-
-
-def _json_list(value, pad: str) -> str:
-    if not value:
-        return "[]"
-    inner = pad + "  "
-    items = [encode(item) if (encode := _JSON_SCALARS.get(type(item))) is not None
-             else _json(item, inner) for item in value]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-
-
-# json's own string escaper (its C version where available), ASCII-only as
-# json.dumps writes by default; it raises TypeError on a key that is not a str.
-_json_string = json.encoder.encode_basestring_ascii
-# The writer of each scalar type of a report, by exact type.  numpy's
-# float64, which its scalar arithmetic returns, is a float subclass.
-_JSON_SCALARS = {
-    str: _json_string,
-    float: _json_float,
-    np.float64: _json_float,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_JSON_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list}
-
-
-def _json(value, pad: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) of a report, at the
-    nesting whose indent is `pad`: the same bytes, without json's
-    pure-Python encoder, which its indent option runs.
-
-    A report holds dicts with str keys, lists, tuples, str, int, float and
-    numpy.float64 (NaN and +-inf written as json writes them), bool and
-    None; any other type raises TypeError.
-    """
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    write = _JSON_CONTAINERS.get(type(value))
-    if write is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON "
-                        "serializable")
-    return write(value, pad)
-
-
 def _emit(report, args):
     if args.out:
         # One write: json.dump would make hundreds of small ones.
-        text = _json(report) + "\n"
+        text = json.dumps(report, sort_keys=True) + "\n"
         with open(args.out, "w") as fh:
             fh.write(text)
 
@@ -465,15 +398,11 @@ def _cmd_identity(args):
     q = _quadrature(args)
     vals = [float(x) for x in args.lam.split(",")]
     if len(vals) != 8:
-        print("error: --lambda needs 8 comma-separated values", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--lambda needs 8 comma-separated values")
     if not all(map(math.isfinite, vals)):
-        print(f"error: --lambda values must be finite, got {args.lam}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--lambda values must be finite, got {args.lam}")
     if not any(vals):
-        print("error: --lambda must not be all zero", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--lambda must not be all zero")
     lam = KillingParams(*(complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)))
     rep = boundary_identity(model, lam, q, args.mode)
     _say(args, f"lhs = {rep.lhs:.10e}")

@@ -433,10 +433,12 @@ def _mass_aspect_scalars(r, k: ModelConstants) -> tuple:
 
 
 def momentum_aspect_grid(a, h) -> np.ndarray:
-    """Momentum aspect P_{ki} = h_ki - g_ki tr h of the fields a and h, with
-    g = delta + a: shape S + (4, 4), S the broadcast of their field shapes."""
+    """The column of the momentum aspect that the charges read,
+    P_{k1} = h_k1 - (delta_k1 + a_k1) tr h, of the fields a and h: shape
+    (4,) + S with k on axis 0, S the broadcast of their field shapes."""
     trh = np.einsum("...ii->...", h)
-    return h - (np.eye(4) + a) * trh[..., None, None]
+    p = h[..., :, 0] - (np.eye(4)[:, 0] + a[..., :, 0]) * trh[..., None]
+    return np.moveaxis(p, -1, 0)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def e1_of(model, r, theta, psi, phi):
 
 
 def p_of(model, r, theta, psi, phi):
-    """The momentum aspect of a model's own fields at the nodes."""
+    """The momentum aspect column P_k1 of a model's own fields at the nodes."""
     nodes = (r, theta, psi, phi)
     return momentum_aspect_grid(model.a(*nodes), model.h(*nodes))
 
@@ -205,10 +205,11 @@ def test_offdiag_momentum_aspect():
                                  constants=K1)
     pa = p_of(model, *P)
     expect = 0.05 * math.exp(-4.0 * P[0]) * math.sin(P[1])
-    # trace-free field, so the aspect equals h itself
-    assert pa[1, 0] == pytest.approx(expect, rel=1e-13)
-    assert pa[0, 1] == pytest.approx(expect, rel=1e-13)
-    assert pa[2, 2] == 0.0
+    # trace-free field, so the aspect equals h itself: P_21 = h_21, and h
+    # has no other entry in its first column
+    assert pa.shape == (4,)
+    assert pa[1] == pytest.approx(expect, rel=1e-13)
+    assert pa[0] == pa[2] == pa[3] == 0.0
 
 
 def test_momentum_aspect_trace_adjustment():
@@ -222,8 +223,28 @@ def test_momentum_aspect_trace_adjustment():
 
     model = DiagH(q=0.0, axis=2, constants=K1)
     pa = p_of(model, *P)
-    # h = Id, tr h = 4, a = 0: P = Id - 4 Id = -3 Id
-    assert np.allclose(pa, -3.0 * np.eye(4))
+    # h = Id, tr h = 4, a = 0: P = Id - 4 Id = -3 Id, whose first column
+    # is (-3, 0, 0, 0)
+    assert np.array_equal(pa, [-3.0, 0.0, 0.0, 0.0])
+
+
+def test_momentum_aspect_is_the_first_column_of_the_full_aspect():
+    # Column 0 of h - (delta + a) tr h, k moved to axis 0, to the bit, on a
+    # with every component nonzero and an h proportional to
+    # 1 + cos theta sin phi, with a trace, at a batch of radii.
+    g = sphere_grid(6, 8, 10)
+    r = np.array([4.0, 5.5, 7.0]).reshape(-1, 1, 1, 1)
+    a = TiltedModel(0.3).a(r, g.theta, g.psi, g.phi)
+    hh = np.array([[0.4, 1.0, -0.3, 0.2], [1.0, -0.1, 0.5, 0.0],
+                   [-0.3, 0.5, 0.9, -0.6], [0.2, 0.0, -0.6, 0.3]])
+    f = np.exp(-4.0 * r) * (1 + np.cos(g.theta) * np.sin(g.phi))
+    h = f[..., None, None] * hh
+    trh = np.einsum("...ii->...", h)
+    full = h - (np.eye(4) + a) * trh[..., None, None]
+    want = np.moveaxis(full[..., :, 0], -1, 0)
+    got = momentum_aspect_grid(a, h)
+    assert got.shape == want.shape == (4, 3, 6, 8, 10)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_model_validation():

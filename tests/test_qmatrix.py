@@ -881,7 +881,7 @@ def _identity_full_sum(model, lam, mode, radii):
     nodes = (r.reshape(-1, 1, 1, 1), grid.theta, grid.psi, grid.phi)
     a, da = model.a_and_da(*nodes)
     e1 = mass_aspect_grid(a, da, nodes[0], angular_factors(grid.theta, grid.psi), k)
-    p1 = np.moveaxis(momentum_aspect_grid(a, model.h(*nodes))[..., :, 0], -1, 0)
+    p1 = momentum_aspect_grid(a, model.h(*nodes))
     tra = np.einsum("...ii->...", a)
     coeff_a = k.kappa * np.moveaxis(
         a[..., :, 0] - (np.eye(4)[0] + a[..., :, 0]) * tra[..., None], -1, 0)
